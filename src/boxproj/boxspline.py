@@ -261,6 +261,11 @@ class BoxSplineEvaluator:
             for nrm in self.cut_normals
         )
 
+    def quadrature_cuts(self, spacing: float = 1.0):
+        """Knot cut families for `quadrature`, which splits cells only in
+        dimensions 1 and 2; above that, no cuts (plain tensor rules)."""
+        return self.knot_cut_families(spacing) if self.V.dimension <= 2 else ()
+
     def _nudged(self, X):
         X = np.array(X, dtype=float, copy=True)
         for _ in range(3):
@@ -349,12 +354,11 @@ def integral_identity_check(V, f, order: int = 12):
     if n > 5:
         raise ValueError("defining-identity check supported for n <= 5 only")
     spline = BoxSplineEvaluator(V)
-    cuts = spline.knot_cut_families(1.0) if V.dimension <= 2 else ()
     lhs = quadrature.integrate(
         lambda X: f(X) * spline(X),
         spline.support_lo,
         spline.support_hi,
-        cuts=cuts,
+        cuts=spline.quadrature_cuts(1.0),
         order=order,
         spacing=1.0,
     )

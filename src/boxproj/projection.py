@@ -10,7 +10,6 @@ precomputed once in lattice coordinates.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +22,7 @@ from . import quadrature
 
 MAX_UNKNOWNS = 600_000
 RESIDUAL_TOL = 1e-12
+ERROR_NORM_CHUNK = 400_000  # quadrature nodes per batch of f evaluations
 
 
 class SolverError(RuntimeError):
@@ -53,9 +53,9 @@ def autocorrelation(V, offset, order: int = 10, route: str = "quadrature") -> fl
     hi = np.minimum(spline.support_hi, spline.support_hi + g)
     if np.any(hi - lo < 1e-12):
         return 0.0
-    cuts = spline.knot_cut_families(1.0) if V.dimension <= 2 else ()
     val = quadrature.integrate(
-        lambda X: spline(X) * spline(X - g), lo, hi, cuts=cuts, order=order, spacing=1.0
+        lambda X: spline(X) * spline(X - g), lo, hi, cuts=spline.quadrature_cuts(1.0),
+        order=order, spacing=1.0
     )
     return float(val)
 
@@ -103,7 +103,9 @@ class SplineSpaceModel:
 
     Holds the window (in lattice units), the Gram table, and a quadrature
     rule over the spline support with the spline values baked in, so each
-    right-hand side costs one batch of f evaluations.
+    right-hand side costs one batch of f evaluations.  The rule is the
+    cell-periodic table of `cell_spline_table` laid out cell by cell over
+    the support, weights times spline values, zeros dropped.
     """
 
     V: DirectionSet
@@ -122,8 +124,7 @@ class SplineSpaceModel:
         return int(np.prod(self.window_shape))
 
     def window_alphas(self) -> np.ndarray:
-        grids = np.meshgrid(*[np.arange(s) for s in self.window_shape], indexing="ij")
-        return self.window_lo + np.stack([g.ravel() for g in grids], axis=-1)
+        return _box_cells(self.window_lo, self.window_lo + np.array(self.window_shape))
 
     def matrix(self) -> sp.csc_matrix:
         dims = self.window_shape
@@ -152,6 +153,34 @@ class SplineSpaceModel:
         return self._lu
 
 
+def cell_spline_table(spline: BoxSplineEvaluator, order: int = 10):
+    """The spline at one cell rule's nodes, under every shift that reaches it.
+
+    Returns (nodes, weights, offsets, table): the cut-aware rule y_l, w_l
+    on the unit cell [0, 1]^d, the integer offsets delta whose shifted
+    spline B(. - delta) overlaps that cell, and table[j, l] =
+    B(y_l - offsets[j]).  A spline sum sum_alpha c_alpha B(x/h - alpha) at
+    the node h (m + y_l) of mesh cell m is then
+    sum_j c_{m + offsets[j]} table[j, l] at every h, by the dilation
+    identity, so one table serves every mesh size.
+    """
+    d = spline.V.dimension
+    nodes, weights = quadrature.cell_rule([0.0] * d, [1.0] * d,
+                                          spline.quadrature_cuts(1.0), order)
+    zlo = np.rint(spline.support_lo).astype(int)
+    zhi = np.rint(spline.support_hi).astype(int)
+    cells = _box_cells(zlo, zhi)
+    pts, _ = quadrature.tile_rule(nodes, weights, cells)
+    table = spline(pts).reshape(len(cells), len(nodes))
+    return nodes, weights, -cells, table
+
+
+def _box_cells(lo, hi) -> np.ndarray:
+    """Integer cells m with lo <= m < hi, as an (n, d) array in C order."""
+    grids = np.meshgrid(*[np.arange(a, b) for a, b in zip(lo, hi)], indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=-1)
+
+
 def build_model(V, h: float, f=None, padding: int | None = None, box=None,
                 order: int = 10, gram_order: int = 10) -> SplineSpaceModel:
     """Assemble window, Gram table and support quadrature for mesh size h.
@@ -161,7 +190,6 @@ def build_model(V, h: float, f=None, padding: int | None = None, box=None,
     default padding is three support diameters.
     """
     V = _coerce(V)
-    d = V.dimension
     spline = BoxSplineEvaluator(V)
     if box is None:
         if f is None or f.effective_box() is None:
@@ -178,16 +206,9 @@ def build_model(V, h: float, f=None, padding: int | None = None, box=None,
     if int(np.prod(shape)) > MAX_UNKNOWNS:
         raise ValueError(f"window of {np.prod(shape)} unknowns exceeds cap")
     gram = autocorrelation_table(V, order=gram_order)
-    cuts = spline.knot_cut_families(1.0) if d <= 2 else ()
-    base_pts, base_wts = quadrature.cell_rule([0.0] * d, [1.0] * d, cuts, order)
-    cells = np.stack(
-        [g.ravel() for g in np.meshgrid(
-            *[np.arange(int(a), int(b)) for a, b in zip(np.rint(zlo), np.rint(zhi))],
-            indexing="ij")],
-        axis=-1,
-    )
-    pts, wts = quadrature.tile_rule(base_pts, base_wts, cells)
-    bvals = spline(pts)
+    nodes, weights, offsets, table = cell_spline_table(spline, order)
+    pts, wts = quadrature.tile_rule(nodes, weights, -offsets)
+    bvals = table.ravel()
     keep = np.abs(bvals * wts) > 0
     return SplineSpaceModel(
         V=V,
@@ -272,26 +293,39 @@ def error_norm(f, model: SplineSpaceModel, coeffs: CoefficientField, p: float,
                domain=None, order: int = 10) -> tuple[float, float]:
     """Lp norm (and its p-th power) of f minus its projection over a box.
 
-    The box is snapped outward to the mesh; cells are split along the
-    knot lines of the shifted splines so the piecewise-smooth integrand
-    is handled cleanly.
+    The box is snapped outward to the mesh and integrated cell by cell
+    with one cut-aware cell rule, split along the knot lines of the shifted
+    splines so the piecewise-smooth integrand is handled cleanly.  The
+    projection at the nodes of mesh cell m is the coefficients
+    c_{m + delta} gathered against `cell_spline_table`, which is built
+    once per call; the box spline is never evaluated per node.
     """
     fv = _value_fn(f)
-    h = model.h
+    h, d = model.h, model.V.dimension
     if domain is None:
         box = f.effective_box()
         if box is None:
             raise ValueError("need an explicit domain for non-decaying f")
         domain = box
-    lo = np.floor(np.asarray(domain[0], dtype=float) / h) * h
-    hi = np.ceil(np.asarray(domain[1], dtype=float) / h) * h
-    cuts = model.evaluator.knot_cut_families(h) if model.V.dimension <= 2 else ()
-
-    def integrand(X):
-        return np.abs(fv(X) - spline_values(model, coeffs, X)) ** p
-
-    power = float(quadrature.integrate(integrand, lo, hi, cuts=cuts, order=order,
-                                       spacing=h))
+    mlo = np.floor(np.asarray(domain[0], dtype=float) / h).astype(int)
+    mhi = np.ceil(np.asarray(domain[1], dtype=float) / h).astype(int)
+    nodes, weights, offsets, table = cell_spline_table(model.evaluator, order)
+    cells = _box_cells(mlo, mhi)
+    wlo = np.array(coeffs.window_lo)
+    dims = np.array(coeffs.values.shape)
+    power = 0.0
+    step = max(1, ERROR_NORM_CHUNK // len(weights))
+    for start in range(0, len(cells), step):
+        m = cells[start:start + step]
+        gathered = np.zeros((len(m), len(offsets)))
+        for j, delta in enumerate(offsets):
+            idx = m + delta - wlo
+            ok = np.all((idx >= 0) & (idx < dims), axis=1)
+            gathered[ok, j] = coeffs.values[tuple(idx[ok].T)]
+        pts = h * (m[:, None, :] + nodes[None, :, :])
+        fvals = np.asarray(fv(pts.reshape(-1, d))).reshape(len(m), len(nodes))
+        power += float(np.sum(np.abs(fvals - gathered @ table) ** p @ weights))
+    power *= h ** d
     return power ** (1.0 / p), power
 
 
@@ -302,7 +336,7 @@ def residual_orthogonality(f, model: SplineSpaceModel, coeffs: CoefficientField,
     fv = _value_fn(f)
     h = model.h
     zlo, zhi = model.evaluator.support_lo, model.evaluator.support_hi
-    cuts = model.evaluator.knot_cut_families(h) if model.V.dimension <= 2 else ()
+    cuts = model.evaluator.quadrature_cuts(h)
     worst = 0.0
     for alpha in alphas:
         a = np.asarray(alpha, dtype=float)

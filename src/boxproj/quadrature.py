@@ -53,7 +53,6 @@ def tensor_rule(lo, hi, order: int):
 def _family_values(fam: CutFamily, smin: float, smax: float):
     """Cut levels of one family falling strictly inside (smin, smax)."""
     vals = []
-    span = smax - smin
     tol = _CUT_TOL * max(1.0, abs(smin), abs(smax))
     for off in fam.offsets:
         k0 = int(np.floor((smin - off) / fam.spacing)) - 1
@@ -62,7 +61,6 @@ def _family_values(fam: CutFamily, smin: float, smax: float):
             c = off + fam.spacing * k
             if smin + tol < c < smax - tol:
                 vals.append(c)
-    del span
     return vals
 
 

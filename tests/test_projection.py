@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from boxproj import (
+    BoxSplineEvaluator,
+    DirectionSet,
     SolverError,
     autocorrelation,
     autocorrelation_table,
@@ -15,6 +17,8 @@ from boxproj import (
     residual_orthogonality,
     spline_values,
 )
+from boxproj import quadrature
+from boxproj.projection import cell_spline_table
 from boxproj.testfunctions import gaussian, monomial
 
 
@@ -185,3 +189,76 @@ class TestErrorNorm:
             norm, power = error_norm(g, m, c, p)
             assert norm > 0
             assert abs(power - norm ** p) < 1e-12 * max(1.0, power)
+
+
+def _pointwise_error_powers(f, m, c, domain, ps):
+    """Error powers for every p in ps by pointwise spline evaluation at the
+    points of the tiled mesh-cell rule; one pass serves all p (the
+    integrand has one column per p)."""
+    h = m.h
+    lo = np.floor(np.asarray(domain[0]) / h) * h
+    hi = np.ceil(np.asarray(domain[1]) / h) * h
+    pcol = np.asarray(ps)
+
+    def integrand(X):
+        return np.abs(f.value(X) - spline_values(m, c, X))[:, None] ** pcol
+
+    return quadrature.integrate(integrand, lo, hi, cuts=m.evaluator.quadrature_cuts(h),
+                                order=10, spacing=h)
+
+
+class TestCellSplineTable:
+    PS = (1.0, 2.0, 3.0)
+
+    @pytest.mark.parametrize("name", ["haar", "bspline(3)", "tensor(2,2)", "courant",
+                                      "courant2"])
+    @pytest.mark.parametrize("h", [0.5, 0.25])
+    def test_table_route_matches_pointwise(self, name, h):
+        V = preset(name)
+        d = V.dimension
+        g = gaussian(d, 1.0)
+        m = build_model(V, h, g)
+        c = project(m, g)
+        # a small box keeps the pointwise route cheap on courant2
+        dom = (np.full(d, -0.75), np.full(d, 1.25))
+        ref = _pointwise_error_powers(g, m, c, dom, self.PS)
+        for p, want in zip(self.PS, ref):
+            _, got = error_norm(g, m, c, p, domain=dom)
+            assert abs(got - want) <= 1e-12 * want
+
+    def test_table_route_matches_pointwise_3d(self):
+        V = DirectionSet(((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)))
+        g = gaussian(3, 1.0)
+        m = build_model(V, 0.5, box=(np.full(3, -0.5), np.full(3, 0.5)), padding=0)
+        c = project(m, g)
+        # the domain's cells gather coefficients past the window on every
+        # side (the offsets run over {-1, 0}^3)
+        dom = (np.full(3, -1.5), np.full(3, 1.5))
+        assert np.all(np.floor(dom[0] / m.h) - 1 < m.window_lo)
+        assert np.all(np.ceil(dom[1] / m.h) > m.window_lo + np.array(m.window_shape))
+        ref = _pointwise_error_powers(g, m, c, dom, self.PS)
+        for p, want in zip(self.PS, ref):
+            _, got = error_norm(g, m, c, p, domain=dom)
+            assert abs(got - want) <= 1e-12 * want
+
+    def test_spline_evaluations_do_not_grow_with_refinement(self, monkeypatch):
+        V = preset("courant")
+        g = gaussian(2, 1.0)
+        nodes, _, offsets, _ = cell_spline_table(BoxSplineEvaluator(V))
+        call = BoxSplineEvaluator.__call__
+        seen = []
+
+        def counting(self, points):
+            seen.append(len(np.atleast_2d(points)))
+            return call(self, points)
+
+        monkeypatch.setattr(BoxSplineEvaluator, "__call__", counting)
+        counts = []
+        for h in (0.25, 0.125):
+            m = build_model(V, h, g)
+            c = project(m, g)
+            before = sum(seen)
+            error_norm(g, m, c, 2.0)
+            counts.append(sum(seen) - before)
+        assert counts[0] == counts[1]
+        assert 0 < counts[0] <= len(nodes) * len(offsets)
