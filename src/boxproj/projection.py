@@ -22,7 +22,7 @@ from . import quadrature
 
 MAX_UNKNOWNS = 600_000
 RESIDUAL_TOL = 1e-12
-ERROR_NORM_CHUNK = 400_000  # quadrature nodes per batch of f evaluations
+SAMPLE_CHUNK = 400_000  # quadrature nodes per batch of f evaluations
 
 
 class SolverError(RuntimeError):
@@ -101,11 +101,12 @@ class CoefficientField:
 class SplineSpaceModel:
     """Precomputed machinery for projecting at one mesh size.
 
-    Holds the window (in lattice units), the Gram table, and a quadrature
-    rule over the spline support with the spline values baked in, so each
-    right-hand side costs one batch of f evaluations.  The rule is the
-    cell-periodic table of `cell_spline_table` laid out cell by cell over
-    the support, weights times spline values, zeros dropped.
+    Holds the window (in lattice units), the Gram table, and the
+    cell-periodic spline table of `cell_spline_table` at rule order
+    `order`, which serves both the right-hand sides of `project` and the
+    error norms of `error_norm`.  The Gram matrix and its sparse LU are
+    cached together in `_lu` on first use; setting `_lu` back to None
+    drops both, e.g. after editing `gram`.
     """
 
     V: DirectionSet
@@ -114,8 +115,8 @@ class SplineSpaceModel:
     window_shape: tuple[int, ...]
     gram: dict[tuple[int, ...], float]
     evaluator: BoxSplineEvaluator
-    rule_points: np.ndarray
-    rule_weights: np.ndarray
+    cell_table: tuple
+    order: int
     padding: int
     _lu: object = field(default=None, repr=False)
 
@@ -148,8 +149,10 @@ class SplineSpaceModel:
         ).tocsc()
 
     def _factorization(self):
+        """The Gram matrix and its sparse LU, built on first use."""
         if self._lu is None:
-            self._lu = spla.splu(self.matrix())
+            A = self.matrix()
+            self._lu = (A, spla.splu(A))
         return self._lu
 
 
@@ -183,7 +186,7 @@ def _box_cells(lo, hi) -> np.ndarray:
 
 def build_model(V, h: float, f=None, padding: int | None = None, box=None,
                 order: int = 10, gram_order: int = 10) -> SplineSpaceModel:
-    """Assemble window, Gram table and support quadrature for mesh size h.
+    """Assemble window, Gram table and cell spline table for mesh size h.
 
     The window collects every shift whose support touches the effective
     box of f (or the explicit `box`), inflated by `padding` cells; the
@@ -205,50 +208,77 @@ def build_model(V, h: float, f=None, padding: int | None = None, box=None,
     shape = tuple(int(b - a + 1) for a, b in zip(wlo, whi))
     if int(np.prod(shape)) > MAX_UNKNOWNS:
         raise ValueError(f"window of {np.prod(shape)} unknowns exceeds cap")
-    gram = autocorrelation_table(V, order=gram_order)
-    nodes, weights, offsets, table = cell_spline_table(spline, order)
-    pts, wts = quadrature.tile_rule(nodes, weights, -offsets)
-    bvals = table.ravel()
-    keep = np.abs(bvals * wts) > 0
     return SplineSpaceModel(
         V=V,
         h=float(h),
         window_lo=wlo,
         window_shape=shape,
-        gram=gram,
+        gram=autocorrelation_table(V, order=gram_order),
         evaluator=spline,
-        rule_points=pts[keep],
-        rule_weights=(wts * bvals)[keep],
+        cell_table=cell_spline_table(spline, order),
+        order=order,
         padding=padding,
     )
 
 
-def project(model: SplineSpaceModel, f, chunk: int = 2000) -> CoefficientField:
+def _cell_samples(fv, h: float, cells: np.ndarray, nodes: np.ndarray):
+    """f at the nodes h (m + y_l) of the integer cells m, in batches of
+    about SAMPLE_CHUNK nodes.  Yields (start, values) with values[i, l] =
+    f(h (cells[start + i] + nodes[l]))."""
+    d = cells.shape[1]
+    step = max(1, SAMPLE_CHUNK // len(nodes))
+    for start in range(0, len(cells), step):
+        m = cells[start:start + step]
+        pts = h * (m[:, None, :] + nodes[None, :, :])
+        yield start, np.asarray(fv(pts.reshape(-1, d)), dtype=float).reshape(len(m), len(nodes))
+
+
+def _right_hand_sides(model: SplineSpaceModel, fv) -> np.ndarray:
+    """b_alpha = h^-d <f, B(./h - alpha)> for the window's shifts, C order.
+
+    With support cells c = -offsets, the node h(alpha + c + y_l) of shift
+    alpha is the node h(m + y_l) of mesh cell m = alpha + c.  So f is
+    sampled once per node of the window grown by the support, the samples
+    of each cell are multiplied by the stencil (table * weights).T to give
+    F[m, j] = sum_l f(h(m + y_l)) w_l B(y_l + c_j), and b_alpha is the sum
+    over j of F[alpha + c_j, j].
+    """
+    nodes, weights, offsets, table = model.cell_table
+    support = -offsets
+    lo = support.min(axis=0)
+    shape = np.array(model.window_shape)
+    grown = shape + support.max(axis=0) - lo
+    cells = _box_cells(model.window_lo + lo, model.window_lo + lo + grown)
+    stencil = (table * weights).T
+    F = np.empty((len(cells), len(offsets)))
+    for start, vals in _cell_samples(fv, model.h, cells, nodes):
+        F[start:start + len(vals)] = vals @ stencil
+    F = F.reshape(tuple(grown) + (len(offsets),))
+    b = np.zeros(model.window_shape)
+    for j, c in enumerate(support - lo):
+        b += F[tuple(slice(a, a + n) for a, n in zip(c, shape)) + (j,)]
+    return b.ravel()
+
+
+def project(model: SplineSpaceModel, f) -> CoefficientField:
     """Coefficients of the L2 projection of f onto the model's window.
 
-    Right-hand sides are h^-d integral f B(./h - alpha) = integral of
-    f(h(y + alpha)) against the reference spline rule.  The banded system
-    is solved by sparse LU, cached on the model; the relative residual
-    must come out below 1e-12.
+    Right-hand sides are h^-d integral f B(./h - alpha), assembled by
+    `_right_hand_sides` as a correlation of f, sampled once per node of
+    the model's cell rule over the mesh cells the window's supports cover,
+    with the per-cell stencil of the model's spline table.  The banded
+    system is solved by sparse LU, cached on the model with its matrix;
+    the relative residual must come out below 1e-12.
     """
-    fv = _value_fn(f)
-    h, d = model.h, model.V.dimension
-    alphas = model.window_alphas()
-    nq = len(model.rule_weights)
-    b = np.empty(len(alphas))
-    for start in range(0, len(alphas), chunk):
-        blk = alphas[start:start + chunk]
-        pts = h * (blk[:, None, :] + model.rule_points[None, :, :])
-        vals = np.asarray(fv(pts.reshape(-1, d)), dtype=float)
-        b[start:start + chunk] = vals.reshape(len(blk), nq) @ model.rule_weights
+    b = _right_hand_sides(model, _value_fn(f))
     try:
-        lu = model._factorization()
+        A, lu = model._factorization()
         c = lu.solve(b)
     except (RuntimeError, ValueError) as exc:
         raise SolverError(f"normal-equation factorization failed: {exc}") from exc
     if not np.all(np.isfinite(c)):
         raise SolverError("normal-equation solve produced non-finite values")
-    resid = model.matrix() @ c - b
+    resid = A @ c - b
     scale = max(float(np.linalg.norm(b)), 1e-300)
     rel = float(np.linalg.norm(resid)) / scale
     if rel > RESIDUAL_TOL:
@@ -297,8 +327,9 @@ def error_norm(f, model: SplineSpaceModel, coeffs: CoefficientField, p: float,
     with one cut-aware cell rule, split along the knot lines of the shifted
     splines so the piecewise-smooth integrand is handled cleanly.  The
     projection at the nodes of mesh cell m is the coefficients
-    c_{m + delta} gathered against `cell_spline_table`, which is built
-    once per call; the box spline is never evaluated per node.
+    c_{m + delta} gathered against `cell_spline_table`: the model's own
+    table when `order` is the model's rule order, else one built for this
+    call; the box spline is never evaluated per node.
     """
     fv = _value_fn(f)
     h, d = model.h, model.V.dimension
@@ -309,21 +340,21 @@ def error_norm(f, model: SplineSpaceModel, coeffs: CoefficientField, p: float,
         domain = box
     mlo = np.floor(np.asarray(domain[0], dtype=float) / h).astype(int)
     mhi = np.ceil(np.asarray(domain[1], dtype=float) / h).astype(int)
-    nodes, weights, offsets, table = cell_spline_table(model.evaluator, order)
+    if order == model.order:
+        nodes, weights, offsets, table = model.cell_table
+    else:
+        nodes, weights, offsets, table = cell_spline_table(model.evaluator, order)
     cells = _box_cells(mlo, mhi)
     wlo = np.array(coeffs.window_lo)
     dims = np.array(coeffs.values.shape)
     power = 0.0
-    step = max(1, ERROR_NORM_CHUNK // len(weights))
-    for start in range(0, len(cells), step):
-        m = cells[start:start + step]
+    for start, fvals in _cell_samples(fv, h, cells, nodes):
+        m = cells[start:start + len(fvals)]
         gathered = np.zeros((len(m), len(offsets)))
         for j, delta in enumerate(offsets):
             idx = m + delta - wlo
             ok = np.all((idx >= 0) & (idx < dims), axis=1)
             gathered[ok, j] = coeffs.values[tuple(idx[ok].T)]
-        pts = h * (m[:, None, :] + nodes[None, :, :])
-        fvals = np.asarray(fv(pts.reshape(-1, d))).reshape(len(m), len(nodes))
         power += float(np.sum(np.abs(fvals - gathered @ table) ** p @ weights))
     power *= h ** d
     return power ** (1.0 / p), power

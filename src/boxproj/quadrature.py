@@ -65,7 +65,12 @@ def _family_values(fam: CutFamily, smin: float, smax: float):
 
 
 def _clip(poly, normal, c, keep_low: bool):
-    """Half-plane clip of a convex polygon (vertex list, CCW)."""
+    """Half-plane clip of a convex polygon (vertex list, CCW).
+
+    An edge adds its crossing point only on a strict sign change: a vertex
+    lying on the cut is kept once, never again as a crossing at t = 0 or 1,
+    which would fan into zero-area triangles with dead nodes.
+    """
     out = []
     m = len(poly)
     for i in range(m):
@@ -79,7 +84,7 @@ def _clip(poly, normal, c, keep_low: bool):
             ina, inb = sa >= 0.0, sb >= 0.0
         if ina:
             out.append(a)
-        if ina != inb:
+        if min(sa, sb) < 0.0 < max(sa, sb):
             t = sa / (sa - sb)
             out.append((a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])))
     return out

@@ -18,7 +18,7 @@ from boxproj import (
     spline_values,
 )
 from boxproj import quadrature
-from boxproj.projection import cell_spline_table
+from boxproj.projection import _right_hand_sides, cell_spline_table
 from boxproj.testfunctions import gaussian, monomial
 
 
@@ -242,9 +242,15 @@ class TestCellSplineTable:
             assert abs(got - want) <= 1e-12 * want
 
     def test_spline_evaluations_do_not_grow_with_refinement(self, monkeypatch):
+        # build_model's table is the only spline evaluation left in a
+        # build/project/error_norm pass (error_norm reuses it); the Gram
+        # table, also independent of h, is stubbed out of the count
         V = preset("courant")
         g = gaussian(2, 1.0)
         nodes, _, offsets, _ = cell_spline_table(BoxSplineEvaluator(V))
+        gram = autocorrelation_table(V)
+        monkeypatch.setattr("boxproj.projection.autocorrelation_table",
+                            lambda V, order=10: dict(gram))
         call = BoxSplineEvaluator.__call__
         seen = []
 
@@ -255,10 +261,71 @@ class TestCellSplineTable:
         monkeypatch.setattr(BoxSplineEvaluator, "__call__", counting)
         counts = []
         for h in (0.25, 0.125):
+            before = sum(seen)
             m = build_model(V, h, g)
             c = project(m, g)
-            before = sum(seen)
             error_norm(g, m, c, 2.0)
             counts.append(sum(seen) - before)
         assert counts[0] == counts[1]
         assert 0 < counts[0] <= len(nodes) * len(offsets)
+
+
+class Polynomial:
+    """1 + sum_i x_i + 0.3 |x|^2 + 0.2 prod_i x_i: nonzero at every window
+    edge, so the shifts whose supports leave the window see f there."""
+
+    def value(self, X):
+        X = np.atleast_2d(X)
+        return 1.0 + X.sum(axis=1) + 0.3 * (X ** 2).sum(axis=1) + 0.2 * X.prod(axis=1)
+
+
+def _reference_right_hand_sides(m, f):
+    """b_alpha = sum over the support rule of f(h(alpha + p)) w_p B(p): the
+    support cells' rule laid out around each shift, f sampled per shift."""
+    nodes, weights, offsets, _ = cell_spline_table(m.evaluator, m.order)
+    pts, wts = quadrature.tile_rule(nodes, weights, -offsets)
+    bw = wts * m.evaluator(pts)
+    return np.array([f.value(m.h * (alpha + pts)) @ bw for alpha in m.window_alphas()])
+
+
+class TestRightHandSides:
+    @pytest.mark.parametrize("name, h", [("haar", 0.25), ("bspline(3)", 0.25),
+                                         ("tensor(2,2)", 0.25), ("courant", 0.25),
+                                         ("courant2", 0.25), ("3d", 0.5)])
+    def test_stencil_matches_reference(self, name, h):
+        if name == "3d":
+            V = DirectionSet(((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)))
+        else:
+            V = preset(name)
+        d = V.dimension
+        m = build_model(V, h, box=(np.full(d, -0.5), np.full(d, 1.0)), padding=0)
+        f = Polynomial()
+        want = _reference_right_hand_sides(m, f)
+        got = _right_hand_sides(m, f.value)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        coeffs = project(m, f)
+        c_ref = np.linalg.solve(m.matrix().toarray(), want).reshape(m.window_shape)
+        assert np.abs(coeffs.values - c_ref).max() <= 1e-12 * np.abs(c_ref).max()
+
+    def test_f_sampled_once_per_cell_node(self):
+        # one sample per node of every mesh cell a window shift's support
+        # covers: the window grown by the support extent, not unknowns times
+        # the support's node count
+        V = preset("courant")
+        spline = BoxSplineEvaluator(V)
+        extent = np.rint(spline.support_hi - spline.support_lo).astype(int)
+        nodes, _, _, _ = cell_spline_table(spline)
+        f = Polynomial()
+        seen = []
+
+        class Counting:
+            def value(self, X):
+                seen.append(len(X))
+                return f.value(X)
+
+        for h in (0.25, 0.125):
+            m = build_model(V, h, box=(np.full(2, -1.0), np.full(2, 1.0)))
+            seen.clear()
+            project(m, Counting())
+            grown = np.array(m.window_shape) + extent - 1
+            assert sum(seen) == len(nodes) * int(np.prod(grown))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from boxproj import BoxSplineEvaluator, preset
 from boxproj.quadrature import (
     CutFamily,
     cell_rule,
@@ -56,6 +57,17 @@ class TestCellRule:
         pts, wts = cell_rule([-1.0, -1.0], [1.0, 1.0], cuts, order=5)
         assert (wts > -1e-14).all()
         assert abs(wts.sum() - 4.0) < 1e-12
+
+    @pytest.mark.parametrize("order", [6, 10])
+    @pytest.mark.parametrize("spacing", [1.0, 0.25])
+    def test_courant_cell_has_no_dead_nodes(self, order, spacing):
+        # the diagonal cut runs through two corners of the cell: each corner
+        # must stay one vertex, or the fan adds zero-area triangles
+        cuts = BoxSplineEvaluator(preset("courant")).quadrature_cuts(spacing)
+        pts, wts = cell_rule([0.0, 0.0], [spacing, spacing], cuts, order=order)
+        assert len(wts) == len(pts) == 2 * order ** 2
+        assert (wts > 0).all()
+        assert abs(wts.sum() - spacing ** 2) < 1e-14
 
 
 class TestIntegrate:
