@@ -37,6 +37,7 @@ from .boxspline import (
     sinc_factor,
     sinc_factor_derivative,
     transform_derivative,
+    transform_derivatives,
 )
 from .bernoulli import (
     BernoulliSplineTerm,

@@ -24,9 +24,10 @@ from .lattice import (
     hyperplane_classes,
     product_derivative,
 )
-from .boxspline import transform_derivative
+from .boxspline import transform_derivatives
 
 TWO_PI_I = 2j * np.pi
+SERIES_CHUNK = 1 << 14  # (point, frequency) pairs per block of the series sum (cache-sized)
 
 
 @lru_cache(maxsize=None)
@@ -232,14 +233,22 @@ def error_expansion(V, beta) -> ErrorFunctionExpansion:
 def monomial_error_series(V, beta, x, radius: int, mode: str = "auto"):
     """Lattice Fourier series of the projection error of x^beta, truncated.
 
-    Sums (2 pi i)^(-|beta|) D^beta transform over nonzero integer
-    frequencies.  mode='cube' scans the full |freq|_inf <= radius box;
-    mode='lines' only walks the integer multiples of the hyperplane-class
-    normals, which carry every nonzero coefficient at the critical order
-    (any other frequency keeps more than |beta| non-orthogonal directions,
-    so its coefficient is a structural zero).  'auto' switches to lines
-    when the cube would be large.  Returns complex values; symmetric
-    truncation makes the imaginary part vanish up to roundoff.
+    Sums (2 pi i)^(-|beta|) D^beta transform(xi) exp(2 pi i x.xi) over
+    nonzero integer frequencies xi.  mode='cube' scans the full
+    |xi|_inf <= radius box; mode='lines' only walks the integer multiples
+    k alpha, |k alpha|_inf <= radius, of the hyperplane-class normals, which
+    carry every nonzero coefficient for |beta| <= margin + 1 (any other
+    frequency keeps more than margin + 1 >= |beta| non-orthogonal
+    directions, so its coefficient is a structural zero; below the critical
+    order every coefficient is, and the series is exactly 0).  'auto'
+    switches to lines when the cube would be large.
+
+    The frequencies are built as one array and weighed by one
+    `transform_derivatives` call; zero weights are dropped, and the sum is
+    accumulated as exp(2 pi i x . xi) @ weights over blocks of frequencies
+    sized so that a block holds about SERIES_CHUNK (point, frequency)
+    pairs.  Returns complex values; symmetric truncation makes the
+    imaginary part vanish up to roundoff.
     """
     V = _coerce(V)
     beta = MultiIndex.of(beta)
@@ -249,30 +258,27 @@ def monomial_error_series(V, beta, x, radius: int, mode: str = "auto"):
     pts = np.atleast_2d(x)
     if mode == "auto":
         mode = "cube" if (2 * radius + 1) ** d <= 200_000 else "lines"
-    prefactor = (1.0 / TWO_PI_I) ** beta.order
-    acc = np.zeros(len(pts), dtype=complex)
     if mode == "cube":
-        for freq in np.ndindex(*(2 * radius + 1,) * d):
-            alpha = tuple(int(f) - radius for f in freq)
-            if all(a == 0 for a in alpha):
-                continue
-            w = transform_derivative(V, beta, alpha)
-            if w == 0.0:
-                continue
-            acc += w * np.exp(TWO_PI_I * (pts @ np.array(alpha, dtype=float)))
+        freqs = np.indices((2 * radius + 1,) * d).reshape(d, -1).T - radius
+        freqs = freqs[np.any(freqs != 0, axis=1)]
     elif mode == "lines":
-        if beta.order != V.margin + 1:
-            raise ValueError("lines mode applies at the critical order only")
+        if beta.order > V.margin + 1:
+            raise ValueError("lines mode applies up to the critical order only")
+        lines = []
         for cls in hyperplane_classes(V):
-            alpha = np.array(cls.alpha, dtype=float)
-            kmax = radius // max(abs(a) for a in cls.alpha)
-            dots = pts @ alpha
-            for k in range(1, kmax + 1):
-                for s in (k, -k):
-                    freq = tuple(s * a for a in cls.alpha)
-                    w = transform_derivative(V, beta, freq)
-                    acc += w * np.exp(TWO_PI_I * s * dots)
+            ks = np.arange(1, radius // max(abs(a) for a in cls.alpha) + 1)
+            signed = np.stack([ks, -ks], axis=1).ravel()
+            lines.append(signed[:, None] * np.array(cls.alpha))
+        freqs = np.concatenate(lines)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    acc *= prefactor
+    weights = transform_derivatives(V, beta, freqs)
+    live = weights != 0
+    freqs, weights = freqs[live], weights[live]
+    acc = np.zeros(len(pts), dtype=complex)
+    step = max(1, SERIES_CHUNK // len(pts))
+    for start in range(0, len(freqs), step):
+        block = freqs[start:start + step]
+        acc += np.exp(TWO_PI_I * (pts @ block.T)) @ weights[start:start + step]
+    acc *= (1.0 / TWO_PI_I) ** beta.order
     return acc[0] if single else acc

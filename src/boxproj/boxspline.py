@@ -123,34 +123,72 @@ def transform_derivative(V, beta, freq, route: str = "auto") -> complex:
     derivative order equals the number of directions not orthogonal to
     freq (each such factor takes exactly one derivative, every other
     assignment kills a factor at an integer).  route='auto' picks the
-    closed form or a structural zero; it never needs the full expansion.
+    closed form or a structural zero, and expands only above the active
+    count.  'auto' and 'factored' evaluate `transform_derivatives` on the
+    one row freq, so the closed-form rule lives there; 'leibniz' stays a
+    separate per-frequency computation, the independent check of it.
     """
     V = _coerce(V)
     beta = MultiIndex.of(beta)
+    active = nonorthogonal_directions(V, freq)
+    if route == "leibniz":
+        _check_derivative_order(V, beta)
+        dots = [sum(f * x for f, x in zip(freq, v)) for v in V.vectors]
+        return _leibniz_derivative(V, beta, dots)
+    if route not in ("auto", "factored"):
+        raise ValueError(f"unknown route {route!r}")
+    if route == "factored" and beta.order != len(active):
+        raise ValueError("factored route needs |beta| = #active directions")
+    return complex(transform_derivatives(V, beta, [freq])[0])
+
+
+def transform_derivatives(V, beta, freqs) -> np.ndarray:
+    """D^beta of the transform at every row of an integer (m, d) array of
+    nonzero frequencies, by the rule of route='auto'.
+
+    Rows are grouped by their set of non-orthogonal directions.  A group
+    with more active directions than |beta| is a structural zero; one with
+    exactly |beta| takes the closed form product_derivative(beta, active) /
+    prod(freq . v) over the active v, for all its rows at once; only rows
+    with fewer active directions than |beta| run the Leibniz expansion,
+    one by one.
+    """
+    V = _coerce(V)
+    beta = MultiIndex.of(beta)
+    _check_derivative_order(V, beta)
+    raw = np.asarray(freqs)
+    if raw.ndim != 2 or raw.shape[1] != V.dimension:
+        raise ValueError("frequencies must form an (m, d) array, d the dimension")
+    freqs = raw.astype(np.int64)
+    if np.any(freqs != raw):
+        raise ValueError("frequencies must be integral")
+    dots = freqs @ np.array(V.vectors, dtype=np.int64).T
+    active = dots != 0
+    if not np.all(active.any(axis=1)):
+        raise ValueError("frequencies must be nonzero")
+    codes = active @ (np.int64(1) << np.arange(len(V), dtype=np.int64))
+    _, first, group = np.unique(codes, return_index=True, return_inverse=True)
+    out = np.zeros(len(freqs), dtype=complex)
+    for p, row in enumerate(first):
+        idx = np.flatnonzero(active[row])
+        if beta.order < len(idx):
+            continue
+        rows = np.flatnonzero(group == p)
+        if beta.order == len(idx):
+            val = np.full(len(rows), complex(product_derivative(beta, [V[i] for i in idx])))
+            for i in idx:
+                val /= dots[rows, i]
+            out[rows] = val
+        else:
+            out[rows] = [_leibniz_derivative(V, beta, dots[r]) for r in rows]
+    return out
+
+
+def _check_derivative_order(V: DirectionSet, beta: MultiIndex) -> None:
     if len(beta) != V.dimension:
         raise ValueError("multi-index dimension mismatch")
     if beta.order > MAX_DERIVATIVE_ORDER:
         raise ValueError("derivative order too large")
-    active = nonorthogonal_directions(V, freq)
-    dots = [sum(f * x for f, x in zip(freq, v)) for v in V.vectors]
-    if route == "factored" or route == "auto":
-        if beta.order < len(active):
-            if route == "factored":
-                raise ValueError("factored route needs |beta| = #active directions")
-            return 0.0 + 0.0j
-        if beta.order == len(active):
-            members = [V[i] for i in active]
-            c = product_derivative(beta, members)
-            val = complex(c)
-            for i in active:
-                val /= dots[i]
-            return val
-        if route == "factored":
-            raise ValueError("factored route needs |beta| = #active directions")
-        # |beta| above the active count: fall through to the expansion
-    elif route != "leibniz":
-        raise ValueError(f"unknown route {route!r}")
-    return _leibniz_derivative(V, beta, dots)
 
 
 def _axis_distributions(total: int, n: int):

@@ -161,7 +161,8 @@ def cell_spline_table(spline: BoxSplineEvaluator, order: int = 10):
 
     Returns (nodes, weights, offsets, table): the cut-aware rule y_l, w_l
     on the unit cell [0, 1]^d, the integer offsets delta whose shifted
-    spline B(. - delta) overlaps that cell, and table[j, l] =
+    spline B(. - delta) is nonzero at some node of that cell (a support
+    cell on which the spline vanishes is dropped), and table[j, l] =
     B(y_l - offsets[j]).  A spline sum sum_alpha c_alpha B(x/h - alpha) at
     the node h (m + y_l) of mesh cell m is then
     sum_j c_{m + offsets[j]} table[j, l] at every h, by the dilation
@@ -175,7 +176,8 @@ def cell_spline_table(spline: BoxSplineEvaluator, order: int = 10):
     cells = _box_cells(zlo, zhi)
     pts, _ = quadrature.tile_rule(nodes, weights, cells)
     table = spline(pts).reshape(len(cells), len(nodes))
-    return nodes, weights, -cells, table
+    live = np.any(table != 0.0, axis=1)
+    return nodes, weights, -cells[live], table[live]
 
 
 def _box_cells(lo, hi) -> np.ndarray:

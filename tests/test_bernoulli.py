@@ -1,5 +1,6 @@
 """Periodic Bernoulli machinery and the monomial error expansions."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -7,10 +8,16 @@ import numpy as np
 import pytest
 
 from boxproj import (
+    DirectionSet,
+    MultiIndex,
+    bernoulli,
+    boxspline,
     error_expansion,
     hyperplane_classes,
     monomial_error_series,
+    multi_indices,
     preset,
+    transform_derivative,
 )
 from boxproj.bernoulli import (
     BernoulliSplineTerm,
@@ -25,6 +32,8 @@ from boxproj.bernoulli import (
     spline_term,
 )
 from boxproj.quadrature import sample_grid
+
+THREE_D = DirectionSet(((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)))
 
 
 class TestBernoulliBasics:
@@ -195,6 +204,70 @@ class TestMonomialErrorSeries:
         x = sample_grid(2, 4)
         s = monomial_error_series(V, (1, 1), x, 100, mode="lines")
         assert np.abs(s.imag).max() < 1e-12
+
+
+def _reference_series(V, beta, x, radius, mode):
+    """The series one frequency at a time: a scalar transform_derivative
+    and one exponential per nonzero weight, summed in frequency order."""
+    d = V.dimension
+    beta = MultiIndex.of(beta)
+    if mode == "cube":
+        freqs = [a for a in itertools.product(range(-radius, radius + 1), repeat=d) if any(a)]
+    else:
+        freqs = [tuple(s * a for a in cls.alpha) for cls in hyperplane_classes(V)
+                 for k in range(1, radius // max(map(abs, cls.alpha)) + 1) for s in (k, -k)]
+    acc = np.zeros(len(x), dtype=complex)
+    for freq in freqs:
+        w = transform_derivative(V, beta, freq)
+        if w != 0.0:
+            acc += w * np.exp(2j * np.pi * (x @ np.array(freq, dtype=float)))
+    return acc * (1.0 / (2j * np.pi)) ** beta.order
+
+
+class TestBatchedSeries:
+    @pytest.mark.parametrize("name, radius, mode", [
+        ("haar", 2000, "lines"), ("bspline(3)", 300, "lines"),
+        ("tensor(2,2)", 300, "lines"), ("courant", 300, "lines"),
+        ("courant2", 300, "lines"), ("courant", 20, "cube"), ("courant2", 20, "cube"),
+        ("tensor(1,1)", 20, "cube"), ("3d", 6, "cube")])
+    def test_matches_per_frequency_reference(self, name, radius, mode):
+        V = THREE_D if name == "3d" else preset(name)
+        x = sample_grid(V.dimension, 5 if V.dimension < 3 else 3)
+        for beta in multi_indices(V.dimension, V.margin + 1):
+            want = _reference_series(V, beta, x, radius, mode)
+            got = monomial_error_series(V, beta, x, radius, mode=mode)
+            assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1e-300)
+
+    def test_no_scalar_transform_calls(self, monkeypatch):
+        calls = []
+        real = boxspline.transform_derivative
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(boxspline, "transform_derivative", counting)
+        monkeypatch.setattr(bernoulli, "transform_derivative", counting, raising=False)
+        x = sample_grid(2, 4)
+        for mode in ("cube", "lines"):
+            monomial_error_series(preset("courant"), (1, 1), x, 30, mode=mode)
+        assert calls == []
+
+    @pytest.mark.parametrize("name", ["courant", "courant2", "tensor(2,2)", "bspline(3)"])
+    def test_lines_below_critical_order_is_zero(self, name):
+        # every nonzero-frequency coefficient is a structural zero there
+        V = preset(name)
+        x = sample_grid(V.dimension, 4)
+        for order in range(V.margin + 1):
+            for beta in multi_indices(V.dimension, order):
+                s = monomial_error_series(V, beta, x, 400, mode="lines")
+                assert np.array_equal(s, np.zeros(len(x)))
+                assert np.array_equal(s, monomial_error_series(V, beta, x, 6, mode="cube"))
+
+    def test_lines_above_critical_order_rejected(self):
+        with pytest.raises(ValueError, match="critical order"):
+            monomial_error_series(preset("courant"), (2, 1), sample_grid(2, 3), 50,
+                                  mode="lines")
 
 
 class TestSplineTermSeries:

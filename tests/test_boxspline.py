@@ -5,6 +5,7 @@ entirely separate recurrence); the transform derivatives are checked
 against sympy symbolic differentiation at regular rational frequencies.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -14,13 +15,17 @@ from scipy.interpolate import BSpline
 
 from boxproj import (
     BoxSplineEvaluator,
+    DirectionSet,
     fourier_transform,
     integral_identity_check,
     preset,
     transform_derivative,
+    transform_derivatives,
 )
 from boxproj.boxspline import sinc_factor, sinc_factor_derivative
 from boxproj.lattice import multi_indices
+
+THREE_D = DirectionSet(((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)))
 
 
 class TestSincFactor:
@@ -123,6 +128,35 @@ class TestTransformDerivative:
                 want = complex(mp.quad(
                     lambda u: u ** k * mp.e ** (-2j * mp.pi * u * t), [0, 1]))
                 assert abs(complex(ms[k][0]) - want) < 1e-13, (k, t)
+
+
+class TestTransformDerivatives:
+    SETS = ("haar", "bspline(2)", "bspline(3)", "tensor(1,1)", "tensor(2,2)", "courant",
+            "courant2", "3d")
+
+    @pytest.mark.parametrize("name", SETS)
+    def test_batched_equals_scalar_auto(self, name):
+        # a critical beta (closed forms and structural zeros) and a
+        # super-critical one (rows with fewer active directions than |beta|
+        # take the Leibniz expansion)
+        V = THREE_D if name == "3d" else preset(name)
+        d, k = V.dimension, V.margin + 1
+        freqs = np.array([a for a in itertools.product(range(-6, 7), repeat=d) if any(a)])
+        active = np.array([sum(np.dot(a, v) != 0 for v in V.vectors) for a in freqs])
+        for order in (k, k + 1):
+            beta = next(multi_indices(d, order))
+            got = transform_derivatives(V, beta, freqs)
+            want = [transform_derivative(V, beta, tuple(a), route="auto") for a in freqs]
+            assert np.array_equal(got, want)
+            # each route of the rule is exercised with nonzero values
+            closed, leibniz = active == order, active < order
+            assert np.any(got[closed if order == k else leibniz] != 0)
+
+    def test_rejects_bad_frequencies(self):
+        V = preset("courant")
+        for freqs in ([[0, 0], [1, 0]], [[0.5, 1.0]], [1, 0], [[1, 0, 0]]):
+            with pytest.raises(ValueError):
+                transform_derivatives(V, (1, 1), freqs)
 
 
 class TestEvaluatorUnivariate:

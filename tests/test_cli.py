@@ -99,6 +99,18 @@ class TestLbeta:
         for row in read_csv(out):
             assert float(row["closed_form"]) == 0.0
 
+    def test_subcritical_order_in_lines_mode(self, tmp_path):
+        # the default series_radius sends 2-D configs to lines mode, which
+        # sums the exact zero series below the critical order
+        path = write_cfg(tmp_path, "preset = courant\nbeta = (1, 0)\ngrid = 3\n")
+        out = str(tmp_path / "lb1.csv")
+        assert main(["lbeta", "--config", path, "--out", out]) == 0
+        rows = read_csv(out)
+        assert len(rows) == 9
+        for row in rows:
+            assert float(row["series_N"]) == 0.0
+            assert float(row["abs_diff"]) == 0.0
+
     def test_order_above_critical_rejected(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "preset = haar\nbeta = [3]\n")
         assert main(["lbeta", "--config", path]) == 2

@@ -1,5 +1,8 @@
 """Gram assembly, truncated-window projection, error norms."""
 
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,8 @@ from boxproj import (
 from boxproj import quadrature
 from boxproj.projection import _right_hand_sides, cell_spline_table
 from boxproj.testfunctions import gaussian, monomial
+
+THREE_D = DirectionSet(((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)))
 
 
 class TestAutocorrelation:
@@ -240,6 +245,39 @@ class TestCellSplineTable:
         for p, want in zip(self.PS, ref):
             _, got = error_norm(g, m, c, p, domain=dom)
             assert abs(got - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("name", ["haar", "bspline(2)", "bspline(3)", "tensor(1,1)",
+                                      "tensor(2,2)", "courant", "courant2", "zp", "3d"])
+    def test_no_dead_rows(self, name):
+        V = THREE_D if name == "3d" else preset(name)
+        _, _, offsets, table = cell_spline_table(BoxSplineEvaluator(V))
+        assert len(offsets) == len(table)
+        assert np.all(np.any(table != 0.0, axis=1))
+
+    @pytest.mark.parametrize("name", ["haar", "bspline(3)", "tensor(2,2)", "courant",
+                                      "courant2"])
+    def test_dropped_rows_change_nothing(self, name):
+        # the same model with a table over every support cell, the cells on
+        # which the spline vanishes included, gives the same projection
+        V = preset(name)
+        g = gaussian(V.dimension, 1.0)
+        m = build_model(V, 0.25, g)
+        nodes, weights, _, _ = m.cell_table
+        spline = m.evaluator
+        cells = np.array(list(itertools.product(*[
+            range(int(a), int(b)) for a, b in zip(np.rint(spline.support_lo),
+                                                  np.rint(spline.support_hi))])))
+        pts, _ = quadrature.tile_rule(nodes, weights, cells)
+        full = replace(m, cell_table=(nodes, weights, -cells,
+                                      spline(pts).reshape(len(cells), len(nodes))))
+        if name == "courant2":
+            assert len(m.cell_table[2]) == 14 < len(cells)
+        c, c_full = project(m, g), project(full, g)
+        assert np.abs(c.values - c_full.values).max() <= 1e-13 * np.abs(c_full.values).max()
+        for p in (1.0, 2.0):
+            _, got = error_norm(g, m, c, p)
+            _, want = error_norm(g, full, c_full, p)
+            assert abs(got - want) <= 1e-13 * want
 
     def test_spline_evaluations_do_not_grow_with_refinement(self, monkeypatch):
         # build_model's table is the only spline evaluation left in a
