@@ -20,6 +20,7 @@ from .lattice import (
     HyperplaneClass,
     MultiIndex,
     NonUnimodularError,
+    UnsupportedDimensionError,
     deletion_margin,
     hyperplane_classes,
     is_unimodular,

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import MultiIndex, _coerce, hyperplane_classes, multi_indices, product_derivative
-from .bernoulli import bernoulli_interior_roots, bernoulli_l2_norm_sq, spline_term
+from .lattice import UnsupportedDimensionError, _coerce, hyperplane_classes, multi_indices, product_derivative
+from .bernoulli import bernoulli_interior_roots, bernoulli_l2_norm_sq, ridge_lp_power, spline_term
 from .projection import build_model, error_norm, project
 from . import quadrature
 
@@ -79,6 +79,30 @@ def sobolev_product_norm(f, vectors, p: float = 2.0, order: int = 12) -> float:
     return float(np.dot(wts, np.abs(vals) ** p))
 
 
+def _ridge_cell_table(V, order: int):
+    """The ridge terms of V and their values on one lattice cell.
+
+    Returns (terms, B, weights): B[x, U] is term U at node x of the unit
+    cell rule, which is cut along every class line and every Bernoulli-root
+    line so that products of terms are integrated exactly.  Cuts exist
+    only in dimensions 1 and 2.
+    """
+    d = V.dimension
+    if d > 2:
+        raise UnsupportedDimensionError(
+            f"ridge-term cell quadrature needs dimension 1 or 2, not {d}"
+        )
+    terms = [spline_term(V, cls) for cls in hyperplane_classes(V)]
+    roots = bernoulli_interior_roots(V.margin + 1)
+    cuts = [
+        quadrature.CutFamily(tuple(float(a) for a in t.hyperplane.alpha), 1.0, (0.0,) + roots)
+        for t in terms
+    ]
+    pts, wts = quadrature.cell_rule([0.0] * d, [1.0] * d, cuts, order)
+    B = np.stack([t.evaluate(pts) for t in terms], axis=-1)
+    return terms, B, wts
+
+
 def error_constant(f, V, p: float, inner_order: int = 16, outer_order: int = 12,
                    chunk_rows: int = 2048) -> float:
     """Limit constant by direct double quadrature, any p >= 1.
@@ -89,22 +113,25 @@ def error_constant(f, V, p: float, inner_order: int = 16, outer_order: int = 12,
     p = 2 case exact; odd p with several classes has a curved zero set
     that is not cut, so expect quadrature error there rather than machine
     precision.
+
+    At p = 2 the double sum factors exactly into sum_{U,V} G_D[U,V] G_B[U,V]
+    over class pairs, with G_D = D^T diag(w_t) D and G_B = B^T diag(w_x) B
+    the Gram matrices of the class derivatives and of the ridge terms on
+    the same nodes.  The cross terms are kept, so this measures the
+    orthogonality that `error_constant_l2` assumes.  Other p sum
+    |D B^T|^p directly, `chunk_rows` outer nodes at a time.  Dimensions
+    above 2 raise `UnsupportedDimensionError`.
     """
     V = _coerce(V)
-    classes = hyperplane_classes(V)
-    deg = V.margin + 1
-    roots = bernoulli_interior_roots(deg)
-    cuts = [
-        quadrature.CutFamily(tuple(float(a) for a in cls.alpha), 1.0, (0.0,) + roots)
-        for cls in classes
-    ]
-    d = V.dimension
-    xpts, xwts = quadrature.cell_rule([0.0] * d, [1.0] * d, cuts, inner_order)
-    B = np.stack([spline_term(V, cls).evaluate(xpts) for cls in classes], axis=-1)
+    terms, B, xwts = _ridge_cell_table(V, inner_order)
     tpts, twts = _outer_rule(f, outer_order)
     D = np.stack(
-        [directional_derivative(f, cls.members, tpts) for cls in classes], axis=-1
+        [directional_derivative(f, t.hyperplane.members, tpts) for t in terms], axis=-1
     )
+    if p == 2:
+        gram_d = (D.T * twts) @ D
+        gram_b = (B.T * xwts) @ B
+        return float(np.sum(gram_d * gram_b))
     total = 0.0
     for start in range(0, len(tpts), chunk_rows):
         S = D[start:start + chunk_rows] @ B.T
@@ -158,21 +185,11 @@ def norm_equivalence_constants(V, p: float, samples: int = 4000, seed: int = 7,
     the cell integral of |sum a_U term_U|^p stays between c1 and c2 times
     sum |a_U|^p * cell-power of term_U.  At p = 2 orthogonality forces
     c1 = c2 = 1; for other p this gives the loose sandwich used to
-    validate the generic constant.
+    validate the generic constant.  Dimensions above 2 raise
+    `UnsupportedDimensionError`.
     """
-    from .bernoulli import ridge_lp_power
-
     V = _coerce(V)
-    classes = hyperplane_classes(V)
-    terms = [spline_term(V, cls) for cls in classes]
-    roots = bernoulli_interior_roots(V.margin + 1)
-    cuts = [
-        quadrature.CutFamily(tuple(float(a) for a in cls.alpha), 1.0, (0.0,) + roots)
-        for cls in classes
-    ]
-    d = V.dimension
-    pts, wts = quadrature.cell_rule([0.0] * d, [1.0] * d, cuts, inner_order)
-    B = np.stack([t.evaluate(pts) for t in terms], axis=-1)
+    terms, B, wts = _ridge_cell_table(V, inner_order)
     powers = np.array([ridge_lp_power(t, p, inner_order) for t in terms])
     rng = np.random.default_rng(seed)
     A = rng.normal(size=(samples, len(terms)))

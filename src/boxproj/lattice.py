@@ -22,6 +22,10 @@ class NonUnimodularError(ValueError):
     """The operation is only defined for unimodular direction sets."""
 
 
+class UnsupportedDimensionError(ValueError):
+    """The operation is not implemented in the direction set's dimension."""
+
+
 # ---------------------------------------------------------------------------
 # multi-indices
 

@@ -1,11 +1,14 @@
 """Directional derivatives, limiting constants, convergence ladders."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from boxproj import (
+    DirectionSet,
+    UnsupportedDimensionError,
     convergence_sweep,
     directional_derivative,
     error_constant,
@@ -13,7 +16,10 @@ from boxproj import (
     norm_equivalence_constants,
     preset,
 )
-from boxproj.asymptotics import _extrapolate
+from boxproj import quadrature
+from boxproj.asymptotics import _extrapolate, _outer_rule
+from boxproj.bernoulli import bernoulli_interior_roots, spline_term
+from boxproj.lattice import hyperplane_classes
 from boxproj.testfunctions import finite_difference, gaussian
 
 
@@ -70,7 +76,7 @@ class TestErrorConstant:
         assert abs(val - math.pi / (12 * math.sqrt(2))) < 1e-12
 
     def test_quadrature_route_matches_closed_p2(self):
-        for name in ("haar", "bspline(2)", "tensor(1,1)", "courant"):
+        for name in ("haar", "bspline(2)", "tensor(1,1)", "tensor(2,2)", "courant", "courant2"):
             V = preset(name)
             f = gaussian(V.dimension, 1.0)
             closed = error_constant_l2(f, V)
@@ -82,6 +88,69 @@ class TestErrorConstant:
         f = gaussian(1, 1.0)
         for p in (1.0, 3.0):
             assert error_constant(f, V, p) > 0
+
+
+def _direct_double_sum(f, V, p, chunk_rows=2048):
+    """Reference: sum_t w_t sum_x w_x |D(t) . B(x)|^p, chunked over t, at
+    the default orders of `error_constant` (inner 16, outer 12)."""
+    classes = hyperplane_classes(V)
+    roots = bernoulli_interior_roots(V.margin + 1)
+    cuts = [
+        quadrature.CutFamily(tuple(float(a) for a in cls.alpha), 1.0, (0.0,) + roots)
+        for cls in classes
+    ]
+    d = V.dimension
+    xpts, xwts = quadrature.cell_rule([0.0] * d, [1.0] * d, cuts, 16)
+    B = np.stack([spline_term(V, cls).evaluate(xpts) for cls in classes], axis=-1)
+    tpts, twts = _outer_rule(f, 12)
+    D = np.stack(
+        [directional_derivative(f, cls.members, tpts) for cls in classes], axis=-1
+    )
+    total = 0.0
+    for start in range(0, len(tpts), chunk_rows):
+        S = D[start:start + chunk_rows] @ B.T
+        total += np.dot(twts[start:start + chunk_rows], np.abs(S) ** p @ xwts)
+    return float(total)
+
+
+GRAM_PRESETS = ("haar", "bspline(3)", "tensor(2,2)", "courant", "courant2")
+SET_3D = DirectionSet(((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)))
+
+
+class TestGramRoute:
+    @pytest.mark.parametrize("name", GRAM_PRESETS)
+    def test_p2_matches_direct_double_sum(self, name):
+        V = preset(name)
+        for scale in (0.8, 1.25):
+            f = gaussian(V.dimension, scale)
+            want = _direct_double_sum(f, V, 2.0)
+            assert abs(error_constant(f, V, 2.0) - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("name", GRAM_PRESETS)
+    def test_other_p_is_the_direct_sum(self, name):
+        V = preset(name)
+        f = gaussian(V.dimension, 0.8)
+        for p in (1.0, 3.0):
+            assert error_constant(f, V, p) == _direct_double_sum(f, V, p)
+
+    def test_courant2_peak_memory(self):
+        f, V = gaussian(2, 1.25), preset("courant2")
+        error_constant(f, V, 2.0)
+        tracemalloc.start()
+        try:
+            error_constant(f, V, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+
+    def test_three_dimensions_raise_typed_error(self):
+        f = gaussian(3, 1.0)
+        with pytest.raises(UnsupportedDimensionError):
+            error_constant(f, SET_3D, 2.0)
+        with pytest.raises(UnsupportedDimensionError):
+            norm_equivalence_constants(SET_3D, 2.0, samples=10)
+        assert error_constant_l2(f, SET_3D, outer_order=4) > 0
 
 
 class TestNormEquivalence:
