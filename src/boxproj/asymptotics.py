@@ -21,6 +21,8 @@ from .bernoulli import bernoulli_interior_roots, bernoulli_l2_norm_sq, ridge_lp_
 from .projection import build_model, error_norm, project
 from . import quadrature
 
+CHUNK_ROWS = 2048  # outer nodes per block of the direct sum at p != 2
+
 
 def directional_derivative(f, vectors, t, route: str = "expansion"):
     """Iterated directional derivative prod_v (v . grad) applied to f at t.
@@ -67,9 +69,7 @@ def _outer_rule(f, order: int):
     hi = np.ceil(np.asarray(box[1], dtype=float)).astype(int)
     d = len(lo)
     base_pts, base_wts = quadrature.tensor_rule([0.0] * d, [1.0] * d, order)
-    grids = np.meshgrid(*[np.arange(a, b) for a, b in zip(lo, hi)], indexing="ij")
-    origins = np.stack([g.ravel() for g in grids], axis=-1).astype(float)
-    return quadrature.tile_rule(base_pts, base_wts, origins)
+    return quadrature.tile_rule(base_pts, base_wts, quadrature.box_cells(lo, hi))
 
 
 def sobolev_product_norm(f, vectors, p: float = 2.0, order: int = 12) -> float:
@@ -103,8 +103,7 @@ def _ridge_cell_table(V, order: int):
     return terms, B, wts
 
 
-def error_constant(f, V, p: float, inner_order: int = 16, outer_order: int = 12,
-                   chunk_rows: int = 2048) -> float:
+def error_constant(f, V, p: float, inner_order: int = 16, outer_order: int = 12) -> float:
     """Limit constant by direct double quadrature, any p >= 1.
 
     Inner integral over one lattice cell of |sum of ridge terms|^p; outer
@@ -119,7 +118,7 @@ def error_constant(f, V, p: float, inner_order: int = 16, outer_order: int = 12,
     the Gram matrices of the class derivatives and of the ridge terms on
     the same nodes.  The cross terms are kept, so this measures the
     orthogonality that `error_constant_l2` assumes.  Other p sum
-    |D B^T|^p directly, `chunk_rows` outer nodes at a time.  Dimensions
+    |D B^T|^p directly, CHUNK_ROWS outer nodes at a time.  Dimensions
     above 2 raise `UnsupportedDimensionError`.
     """
     V = _coerce(V)
@@ -133,9 +132,9 @@ def error_constant(f, V, p: float, inner_order: int = 16, outer_order: int = 12,
         gram_b = (B.T * xwts) @ B
         return float(np.sum(gram_d * gram_b))
     total = 0.0
-    for start in range(0, len(tpts), chunk_rows):
-        S = D[start:start + chunk_rows] @ B.T
-        total += np.dot(twts[start:start + chunk_rows], np.abs(S) ** p @ xwts)
+    for start in range(0, len(tpts), CHUNK_ROWS):
+        S = D[start:start + CHUNK_ROWS] @ B.T
+        total += np.dot(twts[start:start + CHUNK_ROWS], np.abs(S) ** p @ xwts)
     return float(total)
 
 

@@ -292,17 +292,16 @@ class BoxSplineEvaluator:
             normals.add(_integer_kernel_vector(rows, d))
         return tuple(sorted(normals))
 
-    def knot_cut_families(self, spacing: float = 1.0):
-        """Cut families along which the spline is only piecewise smooth."""
+    def quadrature_cuts(self, spacing: float = 1.0):
+        """Cut families along which the spline is only piecewise smooth,
+        for `quadrature`, which splits cells only in dimensions 1 and 2;
+        above that, no cuts (plain tensor rules)."""
+        if self.V.dimension > 2:
+            return ()
         return tuple(
             quadrature.CutFamily(tuple(float(x) for x in nrm), spacing)
             for nrm in self.cut_normals
         )
-
-    def quadrature_cuts(self, spacing: float = 1.0):
-        """Knot cut families for `quadrature`, which splits cells only in
-        dimensions 1 and 2; above that, no cuts (plain tensor rules)."""
-        return self.knot_cut_families(spacing) if self.V.dimension <= 2 else ()
 
     def _nudged(self, X):
         X = np.array(X, dtype=float, copy=True)

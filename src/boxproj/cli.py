@@ -188,12 +188,12 @@ def _describe(V: DirectionSet, cfg: ExperimentConfig) -> list[str]:
     ]
 
 
-def cmd_analyze(cfg: ExperimentConfig, out_path) -> int:
+def cmd_analyze(cfg: ExperimentConfig, args) -> int:
     V = cfg.direction_set()
     lines = _describe(V, cfg)
     if not V.is_unimodular:
         lines.append("error = not unimodular: hyperplane-class expansion rejected")
-        _emit(out_path, "\n".join(lines) + "\n")
+        _emit(args.out, "\n".join(lines) + "\n")
         return 2
     classes = hyperplane_classes(V)
     lines.append(f"classes = {len(classes)}")
@@ -209,11 +209,11 @@ def cmd_analyze(cfg: ExperimentConfig, out_path) -> int:
     table = _csv_text(
         ["beta"] + [f"C_class{i}" for i in range(len(classes))], rows
     )
-    _emit(out_path, "\n".join(lines) + "\n\n" + table)
+    _emit(args.out, "\n".join(lines) + "\n\n" + table)
     return 0
 
 
-def cmd_lbeta(cfg: ExperimentConfig, out_path) -> int:
+def cmd_lbeta(cfg: ExperimentConfig, args) -> int:
     V = cfg.direction_set()
     beta = cfg.get("beta")
     if beta is None:
@@ -234,14 +234,14 @@ def cmd_lbeta(cfg: ExperimentConfig, out_path) -> int:
     for i in range(len(pts)):
         rows.append(list(pts[i]) + [closed[i], series[i], abs(closed[i] - series[i])])
     header = [f"x{j+1}" for j in range(V.dimension)] + ["closed_form", "series_N", "abs_diff"]
-    _emit(out_path, _csv_text(header, rows))
-    if out_path:
+    _emit(args.out, _csv_text(header, rows))
+    if args.out:
         print(f"series_radius = {radius}")
         print(f"max_abs_diff = {_fmt(float(np.abs(closed - series).max()))}")
     return 0
 
 
-def cmd_project(cfg: ExperimentConfig, out_path) -> int:
+def cmd_project(cfg: ExperimentConfig, args) -> int:
     V = cfg.direction_set()
     f = cfg.test_function(V.dimension)
     h = cfg.number("h", 1.0)
@@ -266,16 +266,16 @@ def cmd_project(cfg: ExperimentConfig, out_path) -> int:
         f"error_power = {_fmt(power)}",
     ]
     print("\n".join(lines))
-    if out_path:
+    if args.out:
         alphas = model.window_alphas()
         vals = coeffs.values.ravel()
         rows = [list(alphas[i]) + [vals[i]] for i in range(len(vals))]
         header = [f"alpha{j+1}" for j in range(V.dimension)] + ["coefficient"]
-        _emit(out_path, _csv_text(header, rows))
+        _emit(args.out, _csv_text(header, rows))
     return 0
 
 
-def cmd_constant(cfg: ExperimentConfig, out_path) -> int:
+def cmd_constant(cfg: ExperimentConfig, args) -> int:
     V = cfg.direction_set()
     f = cfg.test_function(V.dimension)
     p = cfg.number("p", 2.0)
@@ -285,11 +285,11 @@ def cmd_constant(cfg: ExperimentConfig, out_path) -> int:
         closed = error_constant_l2(f, V)
         lines.append(f"constant_closed_p2 = {_fmt(closed)}")
         lines.append(f"two_route_rel_diff = {_fmt(abs(value - closed) / closed)}")
-    _emit(out_path, "\n".join(lines) + "\n")
+    _emit(args.out, "\n".join(lines) + "\n")
     return 0
 
 
-def cmd_converge(cfg: ExperimentConfig, out_path) -> int:
+def cmd_converge(cfg: ExperimentConfig, args) -> int:
     V = cfg.direction_set()
     f = cfg.test_function(V.dimension)
     p = cfg.number("p", 2.0)
@@ -320,13 +320,13 @@ def cmd_converge(cfg: ExperimentConfig, out_path) -> int:
         f"tolerance = {_fmt(tol)}",
         f"result = {'pass' if ok else 'fail'}",
     ]
-    _emit(out_path, csv_text)
+    _emit(args.out, csv_text)
     print("\n".join(summary))
     return 0 if ok else 1
 
 
-def cmd_check(cfg: ExperimentConfig, out_path, perturb_gram: float = 0.0) -> int:
-    results = checks.run_battery(perturb_gram=perturb_gram)
+def cmd_check(cfg: ExperimentConfig, args) -> int:
+    results = checks.run_battery(perturb_gram=args.perturb_gram)
     lines = []
     for r in results:
         lines.append(json.dumps(
@@ -335,8 +335,18 @@ def cmd_check(cfg: ExperimentConfig, out_path, perturb_gram: float = 0.0) -> int
             sort_keys=True))
     failed = [r for r in results if not r.passed]
     lines.append(json.dumps({"summary": f"{len(results) - len(failed)}/{len(results)} passed"}))
-    _emit(out_path, "\n".join(lines) + "\n")
+    _emit(args.out, "\n".join(lines) + "\n")
     return 1 if failed else 0
+
+
+COMMANDS = {
+    "analyze": cmd_analyze,
+    "lbeta": cmd_lbeta,
+    "project": cmd_project,
+    "constant": cmd_constant,
+    "converge": cmd_converge,
+    "check": cmd_check,
+}
 
 
 def main(argv=None) -> int:
@@ -345,7 +355,7 @@ def main(argv=None) -> int:
         description="Box-spline projection-error toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("analyze", "lbeta", "project", "constant", "converge", "check"):
+    for name in COMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None, help="key = value config file")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
@@ -356,22 +366,10 @@ def main(argv=None) -> int:
     try:
         cfg = (ExperimentConfig.from_file(args.config) if args.config
                else ExperimentConfig())
-        if args.command == "analyze":
-            return cmd_analyze(cfg, args.out)
-        if args.command == "lbeta":
-            return cmd_lbeta(cfg, args.out)
-        if args.command == "project":
-            return cmd_project(cfg, args.out)
-        if args.command == "constant":
-            return cmd_constant(cfg, args.out)
-        if args.command == "converge":
-            return cmd_converge(cfg, args.out)
-        if args.command == "check":
-            return cmd_check(cfg, args.out, perturb_gram=args.perturb_gram)
+        return COMMANDS[args.command](cfg, args)
     except (ConfigError, NonUnimodularError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

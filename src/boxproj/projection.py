@@ -22,7 +22,7 @@ from . import quadrature
 
 MAX_UNKNOWNS = 600_000
 RESIDUAL_TOL = 1e-12
-SAMPLE_CHUNK = 400_000  # quadrature nodes per batch of f evaluations
+GRAM_DROP = 1e-14
 
 
 class SolverError(RuntimeError):
@@ -36,9 +36,10 @@ def _value_fn(f):
 def autocorrelation(V, offset, order: int = 10, route: str = "quadrature") -> float:
     """Inner product of the spline with its shift by an integer offset.
 
-    route='quadrature' integrates B(x) B(x - offset) with cut-aware cells;
-    route='doubled' evaluates the box spline of the doubled direction set
-    V union -V at the offset, which equals the same integral.
+    route='quadrature' reads the entry of `autocorrelation_table` (0.0 for
+    an offset with no entry); route='doubled' evaluates the box spline of
+    the doubled direction set V union -V at the offset, which equals the
+    same integral and is the independent route the checks compare with.
     """
     V = _coerce(V)
     offset = tuple(int(g) for g in offset)
@@ -47,32 +48,27 @@ def autocorrelation(V, offset, order: int = 10, route: str = "quadrature") -> fl
         return float(BoxSplineEvaluator(doubled)(np.array(offset, dtype=float)))
     if route != "quadrature":
         raise ValueError(f"unknown route {route!r}")
-    spline = BoxSplineEvaluator(V)
-    g = np.array(offset, dtype=float)
-    lo = np.maximum(spline.support_lo, spline.support_lo + g)
-    hi = np.minimum(spline.support_hi, spline.support_hi + g)
-    if np.any(hi - lo < 1e-12):
-        return 0.0
-    val = quadrature.integrate(
-        lambda X: spline(X) * spline(X - g), lo, hi, cuts=spline.quadrature_cuts(1.0),
-        order=order, spacing=1.0
-    )
-    return float(val)
+    return autocorrelation_table(V, order).get(offset, 0.0)
 
 
-def autocorrelation_table(V, order: int = 10, route: str = "quadrature",
-                          drop_tol: float = 1e-14) -> dict[tuple[int, ...], float]:
-    """All nonzero shift autocorrelations, keyed by integer offset."""
+def autocorrelation_table(V, order: int = 10) -> dict[tuple[int, ...], float]:
+    """All nonzero shift autocorrelations a(gamma) = int B(x) B(x - gamma) dx,
+    keyed by integer offset in lexicographic order.
+
+    A contraction of `cell_spline_table`: with support cells c_j =
+    -offsets[j] and G = (table * weights) table^T, the integral over
+    support cell c_j of B(x) B(x - gamma) is G[j, j'] for the cell c_j' =
+    c_j - gamma, so a(gamma) is the sum of G over the pairs with c_j - c_j'
+    = gamma.  Entries of magnitude at most GRAM_DROP are left out.
+    """
     V = _coerce(V)
-    spline = BoxSplineEvaluator(V)
-    lo = np.rint(spline.support_lo - spline.support_hi).astype(int)
-    hi = np.rint(spline.support_hi - spline.support_lo).astype(int)
-    table: dict[tuple[int, ...], float] = {}
-    for idx in itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)]):
-        val = autocorrelation(V, idx, order=order, route=route)
-        if abs(val) > drop_tol:
-            table[idx] = val
-    return table
+    _, weights, offsets, table = cell_spline_table(BoxSplineEvaluator(V), order)
+    gram = (table * weights) @ table.T
+    gammas = (offsets[None, :, :] - offsets[:, None, :]).reshape(-1, offsets.shape[1])
+    keys, inverse = np.unique(gammas, axis=0, return_inverse=True)
+    sums = np.bincount(inverse.ravel(), weights=gram.ravel())
+    return {tuple(int(g) for g in k): float(a)
+            for k, a in zip(keys, sums) if abs(a) > GRAM_DROP}
 
 
 @dataclass
@@ -101,7 +97,8 @@ class CoefficientField:
 class SplineSpaceModel:
     """Precomputed machinery for projecting at one mesh size.
 
-    Holds the window (in lattice units), the Gram table, and the
+    Holds the window (in lattice units), the Gram table of
+    `autocorrelation_table` (at its default rule order), and the
     cell-periodic spline table of `cell_spline_table` at rule order
     `order`, which serves both the right-hand sides of `project` and the
     error norms of `error_norm`.  The Gram matrix and its sparse LU are
@@ -125,19 +122,15 @@ class SplineSpaceModel:
         return int(np.prod(self.window_shape))
 
     def window_alphas(self) -> np.ndarray:
-        return _box_cells(self.window_lo, self.window_lo + np.array(self.window_shape))
+        return quadrature.box_cells(self.window_lo, self.window_lo + np.array(self.window_shape))
 
     def matrix(self) -> sp.csc_matrix:
         dims = self.window_shape
         rows, cols, vals = [], [], []
         for gamma, a in self.gram.items():
-            ranges = [
-                np.arange(max(0, g), s + min(0, g)) for g, s in zip(gamma, dims)
-            ]
-            if any(len(r) == 0 for r in ranges):
+            alpha_idx = quadrature.box_cells(np.maximum(0, gamma), dims + np.minimum(0, gamma))
+            if len(alpha_idx) == 0:
                 continue
-            grids = np.meshgrid(*ranges, indexing="ij")
-            alpha_idx = np.stack([g.ravel() for g in grids], axis=-1)
             beta_idx = alpha_idx - np.array(gamma)
             rows.append(np.ravel_multi_index(alpha_idx.T, dims))
             cols.append(np.ravel_multi_index(beta_idx.T, dims))
@@ -173,21 +166,15 @@ def cell_spline_table(spline: BoxSplineEvaluator, order: int = 10):
                                           spline.quadrature_cuts(1.0), order)
     zlo = np.rint(spline.support_lo).astype(int)
     zhi = np.rint(spline.support_hi).astype(int)
-    cells = _box_cells(zlo, zhi)
+    cells = quadrature.box_cells(zlo, zhi)
     pts, _ = quadrature.tile_rule(nodes, weights, cells)
     table = spline(pts).reshape(len(cells), len(nodes))
     live = np.any(table != 0.0, axis=1)
     return nodes, weights, -cells[live], table[live]
 
 
-def _box_cells(lo, hi) -> np.ndarray:
-    """Integer cells m with lo <= m < hi, as an (n, d) array in C order."""
-    grids = np.meshgrid(*[np.arange(a, b) for a, b in zip(lo, hi)], indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
-
-
 def build_model(V, h: float, f=None, padding: int | None = None, box=None,
-                order: int = 10, gram_order: int = 10) -> SplineSpaceModel:
+                order: int = 10) -> SplineSpaceModel:
     """Assemble window, Gram table and cell spline table for mesh size h.
 
     The window collects every shift whose support touches the effective
@@ -215,7 +202,7 @@ def build_model(V, h: float, f=None, padding: int | None = None, box=None,
         h=float(h),
         window_lo=wlo,
         window_shape=shape,
-        gram=autocorrelation_table(V, order=gram_order),
+        gram=autocorrelation_table(V),
         evaluator=spline,
         cell_table=cell_spline_table(spline, order),
         order=order,
@@ -225,10 +212,10 @@ def build_model(V, h: float, f=None, padding: int | None = None, box=None,
 
 def _cell_samples(fv, h: float, cells: np.ndarray, nodes: np.ndarray):
     """f at the nodes h (m + y_l) of the integer cells m, in batches of
-    about SAMPLE_CHUNK nodes.  Yields (start, values) with values[i, l] =
-    f(h (cells[start + i] + nodes[l]))."""
+    about quadrature.SAMPLE_CHUNK nodes.  Yields (start, values) with
+    values[i, l] = f(h (cells[start + i] + nodes[l]))."""
     d = cells.shape[1]
-    step = max(1, SAMPLE_CHUNK // len(nodes))
+    step = max(1, quadrature.SAMPLE_CHUNK // len(nodes))
     for start in range(0, len(cells), step):
         m = cells[start:start + step]
         pts = h * (m[:, None, :] + nodes[None, :, :])
@@ -250,7 +237,7 @@ def _right_hand_sides(model: SplineSpaceModel, fv) -> np.ndarray:
     lo = support.min(axis=0)
     shape = np.array(model.window_shape)
     grown = shape + support.max(axis=0) - lo
-    cells = _box_cells(model.window_lo + lo, model.window_lo + lo + grown)
+    cells = quadrature.box_cells(model.window_lo + lo, model.window_lo + lo + grown)
     stencil = (table * weights).T
     F = np.empty((len(cells), len(offsets)))
     for start, vals in _cell_samples(fv, model.h, cells, nodes):
@@ -346,7 +333,7 @@ def error_norm(f, model: SplineSpaceModel, coeffs: CoefficientField, p: float,
         nodes, weights, offsets, table = model.cell_table
     else:
         nodes, weights, offsets, table = cell_spline_table(model.evaluator, order)
-    cells = _box_cells(mlo, mhi)
+    cells = quadrature.box_cells(mlo, mhi)
     wlo = np.array(coeffs.window_lo)
     dims = np.array(coeffs.values.shape)
     power = 0.0
@@ -394,9 +381,7 @@ def gram_symbol_range(V, grid: int = 64, order: int = 10) -> tuple[float, float]
     V = _coerce(V)
     table = autocorrelation_table(V, order=order)
     d = V.dimension
-    axes = [np.linspace(0.0, 1.0, grid, endpoint=False) for _ in range(d)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    w = np.stack([g.ravel() for g in grids], axis=-1)
+    w = quadrature.product_grid([np.linspace(0.0, 1.0, grid, endpoint=False)] * d)
     sym = np.zeros(len(w))
     for gamma, a in table.items():
         sym += a * np.cos(2.0 * np.pi * (w @ np.array(gamma, dtype=float)))

@@ -17,6 +17,7 @@ import numpy as np
 
 _AREA_TOL = 1e-12
 _CUT_TOL = 1e-9
+SAMPLE_CHUNK = 400_000  # quadrature nodes per batch of integrand evaluations
 
 
 @dataclass(frozen=True)
@@ -35,6 +36,17 @@ def unit_nodes(order: int):
     return (x + 1.0) / 2.0, w / 2.0
 
 
+def product_grid(axes) -> np.ndarray:
+    """Cartesian product of 1-D arrays as an (n, d) array in C order."""
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=-1)
+
+
+def box_cells(lo, hi) -> np.ndarray:
+    """Integer cells m with lo <= m < hi, as an (n, d) array in C order."""
+    return product_grid([np.arange(a, b) for a, b in zip(lo, hi)])
+
+
 def tensor_rule(lo, hi, order: int):
     """Plain tensor Gauss rule on the box [lo, hi]."""
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
@@ -42,8 +54,7 @@ def tensor_rule(lo, hi, order: int):
     x, w = unit_nodes(order)
     pts_1d = [lo[j] + (hi[j] - lo[j]) * x for j in range(len(lo))]
     wts_1d = [(hi[j] - lo[j]) * w for j in range(len(lo))]
-    grids = np.meshgrid(*pts_1d, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    pts = product_grid(pts_1d)
     wts = wts_1d[0]
     for wj in wts_1d[1:]:
         wts = np.multiply.outer(wts, wj)
@@ -184,8 +195,7 @@ def sample_grid(dim: int, count: int = 17):
     axes = [
         (2 * np.arange(count) + 1) / (2.0 * (count + j)) for j in range(dim)
     ]
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
+    return product_grid(axes)
 
 
 def tile_rule(pts, wts, origins):
@@ -195,39 +205,38 @@ def tile_rule(pts, wts, origins):
     return big.reshape(-1, pts.shape[1]), np.tile(wts, len(origins))
 
 
-def integrate(f, lo, hi, *, cuts=(), order: int = 12, spacing=None,
-              chunk: int = 400_000):
+def integrate(f, lo, hi, *, cuts=(), order: int = 12, spacing=None):
     """Integrate f over the box [lo, hi].
 
     `spacing` subdivides the box into a uniform grid of cells first; the
     per-cell rule (with cuts) is then translated across the grid, which
     assumes the cut pattern is cell-periodic.  f maps (m, d) arrays to
-    (m,) values and may return complex.
+    (m,) values and may return complex; it is called on about
+    SAMPLE_CHUNK nodes at a time.
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
     d = len(lo)
     if spacing is None:
         pts, wts = cell_rule(lo, hi, cuts, order)
-        return _accumulate(f, pts, wts, chunk)
+        return _accumulate(f, pts, wts)
     spacing = float(spacing)
     counts = np.rint((hi - lo) / spacing).astype(int)
     if np.any(np.abs(lo + counts * spacing - hi) > 1e-9 * max(1.0, spacing)):
         raise ValueError("box is not an integer number of cells")
     base_pts, base_wts = cell_rule([0.0] * d, [spacing] * d, cuts, order)
-    grids = np.meshgrid(*[np.arange(c) for c in counts], indexing="ij")
-    origins = lo + spacing * np.stack([g.ravel() for g in grids], axis=-1)
+    origins = lo + spacing * box_cells(np.zeros(d, dtype=int), counts)
     total = 0.0
-    cells_per_chunk = max(1, chunk // max(1, len(base_wts)))
+    cells_per_chunk = max(1, SAMPLE_CHUNK // max(1, len(base_wts)))
     for start in range(0, len(origins), cells_per_chunk):
         pts, wts = tile_rule(base_pts, base_wts, origins[start:start + cells_per_chunk])
-        total = total + _accumulate(f, pts, wts, chunk)
+        total = total + _accumulate(f, pts, wts)
     return total
 
 
-def _accumulate(f, pts, wts, chunk):
+def _accumulate(f, pts, wts):
     total = 0.0
-    for start in range(0, len(wts), chunk):
-        vals = f(pts[start:start + chunk])
-        total = total + np.dot(wts[start:start + chunk], vals)
+    for start in range(0, len(wts), SAMPLE_CHUNK):
+        vals = f(pts[start:start + SAMPLE_CHUNK])
+        total = total + np.dot(wts[start:start + SAMPLE_CHUNK], vals)
     return total

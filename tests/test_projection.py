@@ -46,6 +46,53 @@ class TestAutocorrelation:
             for gamma, val in autocorrelation_table(V).items():
                 assert abs(val - autocorrelation(V, gamma, route="doubled")) < 1e-8
 
+    @pytest.mark.parametrize("name", ["haar", "bspline(2)", "bspline(3)", "tensor(1,1)",
+                                      "tensor(2,2)", "courant", "courant2", "zp", "3d"])
+    def test_table_matches_per_offset_quadrature(self, name):
+        # reference: integrate B(x) B(x - gamma) over the support
+        # intersection, one tiled cut-aware integration per offset
+        V = THREE_D if name == "3d" else preset(name)
+        spline = BoxSplineEvaluator(V)
+        ref = {}
+        for gamma in itertools.product(*[
+                range(int(round(a - b)), int(round(b - a)) + 1)
+                for a, b in zip(spline.support_lo, spline.support_hi)]):
+            g = np.array(gamma, dtype=float)
+            lo = np.maximum(spline.support_lo, spline.support_lo + g)
+            hi = np.minimum(spline.support_hi, spline.support_hi + g)
+            if np.any(hi - lo < 1e-12):
+                continue
+            val = float(quadrature.integrate(
+                lambda X: spline(X) * spline(X - g), lo, hi,
+                cuts=spline.quadrature_cuts(1.0), order=10, spacing=1.0))
+            if abs(val) > 1e-14:
+                ref[gamma] = val
+        table = autocorrelation_table(V)
+        assert list(table) == sorted(ref)
+        assert max(abs(table[k] - ref[k]) for k in ref) <= 1e-15
+
+    def test_table_builds_one_evaluator(self, monkeypatch):
+        V = preset("courant2")
+        spline = BoxSplineEvaluator(V)
+        nodes = cell_spline_table(spline)[0]
+        n_cells = int(np.prod(np.rint(spline.support_hi - spline.support_lo)))
+        init, call = BoxSplineEvaluator.__init__, BoxSplineEvaluator.__call__
+        built, seen = [], []
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        def counting_call(self, points):
+            seen.append(len(np.atleast_2d(points)))
+            return call(self, points)
+
+        monkeypatch.setattr(BoxSplineEvaluator, "__init__", counting_init)
+        monkeypatch.setattr(BoxSplineEvaluator, "__call__", counting_call)
+        autocorrelation_table(V)
+        assert len(built) == 1
+        assert sum(seen) <= n_cells * len(nodes)
+
     def test_symmetry_and_row_sum(self):
         for name in ("bspline(2)", "courant", "tensor(2,2)"):
             table = autocorrelation_table(preset(name))
