@@ -176,7 +176,6 @@ def run_battery(perturb_gram: float = 0.0) -> list[CheckResult]:
     if perturb_gram:
         gamma = (1,)
         model.gram[gamma] = model.gram[gamma] + perturb_gram
-        model._lu = None
     coeffs = project(model, g)
     blo, bhi = g.effective_box()
     blo, bhi = np.floor(blo * 2) / 2, np.ceil(bhi * 2) / 2

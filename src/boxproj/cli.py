@@ -22,7 +22,7 @@ import numpy as np
 
 from .lattice import DirectionSet, MultiIndex, NonUnimodularError, hyperplane_classes, multi_indices, product_derivative
 from .bernoulli import error_expansion, monomial_error_series
-from .projection import build_model, error_norm, project
+from .projection import SolverError, build_model, error_norm, project
 from .asymptotics import convergence_sweep, error_constant, error_constant_l2
 from .testfunctions import bump, gaussian, monomial
 from .presets import PRESET_NAMES, preset
@@ -367,7 +367,7 @@ def main(argv=None) -> int:
         cfg = (ExperimentConfig.from_file(args.config) if args.config
                else ExperimentConfig())
         return COMMANDS[args.command](cfg, args)
-    except (ConfigError, NonUnimodularError, ValueError) as exc:
+    except (ConfigError, NonUnimodularError, SolverError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,16 +1,17 @@
 """L2 projection onto the lattice shifts of a box spline, on a truncated window.
 
-The projector solves the normal equations: a banded Gram system whose
-entries are shift autocorrelations of the spline.  Everything is set up
-at mesh size h by rescaling; the coefficient field of the projection of
-f at mesh h equals that of f(h .) at mesh 1, so quadrature rules are
-precomputed once in lattice coordinates.
+The projector solves the normal equations, a banded symmetric positive
+definite Gram system whose entries are shift autocorrelations of the
+spline, by conjugate gradients.  Everything is set up at mesh size h by
+rescaling; the coefficient field of the projection of f at mesh h equals
+that of f(h .) at mesh 1, so quadrature rules are precomputed once in
+lattice coordinates.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -101,9 +102,9 @@ class SplineSpaceModel:
     `autocorrelation_table` (at its default rule order), and the
     cell-periodic spline table of `cell_spline_table` at rule order
     `order`, which serves both the right-hand sides of `project` and the
-    error norms of `error_norm`.  The Gram matrix and its sparse LU are
-    cached together in `_lu` on first use; setting `_lu` back to None
-    drops both, e.g. after editing `gram`.
+    error norms of `error_norm`.  Nothing is derived from `gram` and
+    kept: `matrix()` lays it out afresh on each call, so an edit to `gram`
+    takes effect at the next `project`.
     """
 
     V: DirectionSet
@@ -115,7 +116,6 @@ class SplineSpaceModel:
     cell_table: tuple
     order: int
     padding: int
-    _lu: object = field(default=None, repr=False)
 
     @property
     def unknowns(self) -> int:
@@ -124,7 +124,7 @@ class SplineSpaceModel:
     def window_alphas(self) -> np.ndarray:
         return quadrature.box_cells(self.window_lo, self.window_lo + np.array(self.window_shape))
 
-    def matrix(self) -> sp.csc_matrix:
+    def matrix(self) -> sp.csr_matrix:
         dims = self.window_shape
         rows, cols, vals = [], [], []
         for gamma, a in self.gram.items():
@@ -139,14 +139,7 @@ class SplineSpaceModel:
         return sp.coo_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(n, n),
-        ).tocsc()
-
-    def _factorization(self):
-        """The Gram matrix and its sparse LU, built on first use."""
-        if self._lu is None:
-            A = self.matrix()
-            self._lu = (A, spla.splu(A))
-        return self._lu
+        ).tocsr()
 
 
 def cell_spline_table(spline: BoxSplineEvaluator, order: int = 10):
@@ -255,16 +248,23 @@ def project(model: SplineSpaceModel, f) -> CoefficientField:
     Right-hand sides are h^-d integral f B(./h - alpha), assembled by
     `_right_hand_sides` as a correlation of f, sampled once per node of
     the model's cell rule over the mesh cells the window's supports cover,
-    with the per-cell stencil of the model's spline table.  The banded
-    system is solved by sparse LU, cached on the model with its matrix;
-    the relative residual must come out below 1e-12.
+    with the per-cell stencil of the model's spline table.  The Gram
+    matrix is symmetric positive definite with condition number at most
+    the symbol ratio of `gram_symbol_range`, so conjugate gradients on
+    `model.matrix()` converge in a few dozen iterations; the true relative
+    residual must come out below RESIDUAL_TOL.  A non-finite Gram entry or
+    right-hand side, and a solve that does not converge, raise SolverError.
     """
+    for gamma, a in model.gram.items():
+        if not np.isfinite(a):
+            raise SolverError(f"non-finite Gram entry a{gamma} = {a}")
     b = _right_hand_sides(model, _value_fn(f))
-    try:
-        A, lu = model._factorization()
-        c = lu.solve(b)
-    except (RuntimeError, ValueError) as exc:
-        raise SolverError(f"normal-equation factorization failed: {exc}") from exc
+    if not np.all(np.isfinite(b)):
+        raise SolverError("non-finite right-hand side: f is not finite on the window")
+    A = model.matrix()
+    c, info = spla.cg(A, b, rtol=RESIDUAL_TOL * 1e-2, atol=0.0)
+    if info != 0:
+        raise SolverError(f"conjugate gradients did not converge in {info} iterations")
     if not np.all(np.isfinite(c)):
         raise SolverError("normal-equation solve produced non-finite values")
     resid = A @ c - b

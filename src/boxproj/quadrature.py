@@ -17,7 +17,7 @@ import numpy as np
 
 _AREA_TOL = 1e-12
 _CUT_TOL = 1e-9
-SAMPLE_CHUNK = 400_000  # quadrature nodes per batch of integrand evaluations
+SAMPLE_CHUNK = 65_536  # quadrature nodes per batch of integrand evaluations
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from boxproj import SolverError
 from boxproj.cli import ExperimentConfig, main
 
 
@@ -136,6 +137,15 @@ class TestProject:
             assert f1.read() == f2.read()
         rows = read_csv(out1)
         assert set(rows[0]) == {"alpha1", "coefficient"}
+
+    def test_solver_error_is_reported(self, tmp_path, capsys, monkeypatch):
+        def fail(model, f):
+            raise SolverError("relative residual 1.000e-03 above 1e-12")
+
+        monkeypatch.setattr("boxproj.cli.project", fail)
+        path = write_cfg(tmp_path, "preset = bspline(2)\nfunction = gaussian\nh = 1/2\n")
+        assert main(["project", "--config", path]) == 2
+        assert "error: relative residual" in capsys.readouterr().err
 
 
 class TestConstant:

@@ -175,9 +175,21 @@ class TestProjection:
         g = gaussian(1, 1.0)
         m = build_model(V, 0.5, g)
         m.gram[(1,)] = m.gram[(1,)] + 1e-3
-        m._lu = None
         c = project(m, g)
         r = residual_orthogonality(g, m, c, [(-2,), (0,), (3,)])
+        assert r > 1e-6
+
+    def test_gram_edit_takes_effect_without_reset(self):
+        # nothing derived from the Gram table is kept between projections,
+        # so a second projection after an edit solves the edited system
+        V = preset("bspline(2)")
+        g = gaussian(1, 1.0)
+        m = build_model(V, 0.5, g)
+        before = project(m, g)
+        m.gram[(1,)] = m.gram[(1,)] + 1e-3
+        after = project(m, g)
+        assert np.abs(after.values - before.values).max() > 1e-6
+        r = residual_orthogonality(g, m, after, [(-2,), (0,), (3,)])
         assert r > 1e-6
 
     def test_coefficients_vanish_outside_window(self):
@@ -209,9 +221,30 @@ class TestProjection:
         g = gaussian(1, 1.0)
         m = build_model(V, 0.5, g)
         m.gram[(1,)] = float("nan")
-        m._lu = None
         with pytest.raises(SolverError):
             project(m, g)
+
+    def test_non_finite_gram_fails_before_iterating(self, monkeypatch):
+        # on NaN entries conjugate gradients would run all 10 n iterations
+        m = build_model(preset("courant"), 1 / 16, box=(np.full(2, -3.0), np.full(2, 3.0)))
+        assert m.unknowns == 12321
+        m.gram[(1, 0)] = float("nan")
+
+        class NoSolver:
+            def cg(self, *args, **kwargs):
+                raise AssertionError("solver called on a non-finite Gram table")
+
+        monkeypatch.setattr("boxproj.projection.spla", NoSolver())
+        with pytest.raises(SolverError, match=r"non-finite Gram entry a\(1, 0\)"):
+            project(m, monomial((1, 0)))
+
+    def test_non_finite_f_fails_before_iterating(self, monkeypatch):
+        V = preset("bspline(2)")
+        g = gaussian(1, 1.0)
+        m = build_model(V, 0.5, g)
+        monkeypatch.setattr("boxproj.projection.spla", None)
+        with pytest.raises(SolverError, match="non-finite right-hand side"):
+            project(m, lambda X: np.full(len(X), np.nan))
 
     def test_spline_values_outside_support_zero(self):
         V = preset("bspline(2)")
