@@ -10,6 +10,7 @@ lattice coordinates.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -125,21 +126,28 @@ class SplineSpaceModel:
         return quadrature.box_cells(self.window_lo, self.window_lo + np.array(self.window_shape))
 
     def matrix(self) -> sp.csr_matrix:
-        dims = self.window_shape
-        rows, cols, vals = [], [], []
-        for gamma, a in self.gram.items():
-            alpha_idx = quadrature.box_cells(np.maximum(0, gamma), dims + np.minimum(0, gamma))
-            if len(alpha_idx) == 0:
-                continue
-            beta_idx = alpha_idx - np.array(gamma)
-            rows.append(np.ravel_multi_index(alpha_idx.T, dims))
-            cols.append(np.ravel_multi_index(beta_idx.T, dims))
-            vals.append(np.full(len(alpha_idx), a))
+        """The normal-equation matrix: entry (alpha, beta) of the window,
+        in C order, is gram[alpha - beta].
+
+        Offset gamma fills the diagonal at flat offset -gamma . strides.
+        DIA storage indexes a diagonal by column beta, so only the columns
+        whose row beta + gamma stays in the window are set; the zeros left
+        are dropped by the CSR conversion.  Offsets that coincide on a
+        small window set disjoint columns of one shared diagonal.
+        """
+        dims = np.array(self.window_shape)
         n = self.unknowns
-        return sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n),
-        ).tocsr()
+        strides = np.array([int(np.prod(dims[j + 1:])) for j in range(len(dims))])
+        offsets, diag = np.unique(-np.array(list(self.gram)) @ strides, return_inverse=True)
+        data = np.zeros((len(offsets), n))
+        axes = [np.arange(k) for k in dims]
+        for i, (gamma, a) in enumerate(self.gram.items()):
+            inside = functools.reduce(np.logical_and.outer, [
+                (ax + g >= 0) & (ax + g < k) for ax, g, k in zip(axes, gamma, dims)])
+            np.copyto(data[diag[i]], a, where=inside.ravel())
+        A = sp.dia_matrix((data, offsets), shape=(n, n)).tocsr()
+        A.sort_indices()
+        return A
 
 
 def cell_spline_table(spline: BoxSplineEvaluator, order: int = 10):
@@ -203,16 +211,19 @@ def build_model(V, h: float, f=None, padding: int | None = None, box=None,
     )
 
 
-def _cell_samples(fv, h: float, cells: np.ndarray, nodes: np.ndarray):
+def _cell_samples(fv, h: float, cells: np.ndarray, nodes: np.ndarray, weights: np.ndarray):
     """f at the nodes h (m + y_l) of the integer cells m, in batches of
     about quadrature.SAMPLE_CHUNK nodes.  Yields (start, values) with
-    values[i, l] = f(h (cells[start + i] + nodes[l]))."""
-    d = cells.shape[1]
+    values[i, l] = f(h (cells[start + i] + nodes[l])).  Each batch of
+    points is the `quadrature.tile_rule` of the cell rule (nodes,
+    weights) scaled by h in place: f receives an (n, d) float view of a
+    (d, n) block, with contiguous columns, and must not assume C order."""
     step = max(1, quadrature.SAMPLE_CHUNK // len(nodes))
     for start in range(0, len(cells), step):
         m = cells[start:start + step]
-        pts = h * (m[:, None, :] + nodes[None, :, :])
-        yield start, np.asarray(fv(pts.reshape(-1, d)), dtype=float).reshape(len(m), len(nodes))
+        pts, _ = quadrature.tile_rule(nodes, weights, m)
+        pts *= h
+        yield start, np.asarray(fv(pts), dtype=float).reshape(len(m), len(nodes))
 
 
 def _right_hand_sides(model: SplineSpaceModel, fv) -> np.ndarray:
@@ -233,7 +244,7 @@ def _right_hand_sides(model: SplineSpaceModel, fv) -> np.ndarray:
     cells = quadrature.box_cells(model.window_lo + lo, model.window_lo + lo + grown)
     stencil = (table * weights).T
     F = np.empty((len(cells), len(offsets)))
-    for start, vals in _cell_samples(fv, model.h, cells, nodes):
+    for start, vals in _cell_samples(fv, model.h, cells, nodes, weights):
         F[start:start + len(vals)] = vals @ stencil
     F = F.reshape(tuple(grown) + (len(offsets),))
     b = np.zeros(model.window_shape)
@@ -337,7 +348,7 @@ def error_norm(f, model: SplineSpaceModel, coeffs: CoefficientField, p: float,
     wlo = np.array(coeffs.window_lo)
     dims = np.array(coeffs.values.shape)
     power = 0.0
-    for start, fvals in _cell_samples(fv, h, cells, nodes):
+    for start, fvals in _cell_samples(fv, h, cells, nodes, weights):
         m = cells[start:start + len(fvals)]
         gathered = np.zeros((len(m), len(offsets)))
         for j, delta in enumerate(offsets):

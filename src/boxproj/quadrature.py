@@ -199,10 +199,19 @@ def sample_grid(dim: int, count: int = 17):
 
 
 def tile_rule(pts, wts, origins):
-    """Translate one cell rule to many cells; origins has shape (m, d)."""
+    """Translate one cell rule to many cells; origins has shape (m, d).
+
+    The points come back as an (m n, d) float view of one C-contiguous
+    (d, m n) block, filled one coordinate at a time: each column is one
+    contiguous array, so an integrand reading pts[:, j] runs unit-stride
+    loops.  Callers must not assume C order.
+    """
     origins = np.asarray(origins, dtype=float)
-    big = origins[:, None, :] + pts[None, :, :]
-    return big.reshape(-1, pts.shape[1]), np.tile(wts, len(origins))
+    d = pts.shape[1]
+    block = np.empty((d, len(origins), len(pts)))
+    for j in range(d):
+        np.add.outer(origins[:, j], pts[:, j], out=block[j])
+    return block.reshape(d, -1).T, np.tile(wts, len(origins))
 
 
 def integrate(f, lo, hi, *, cuts=(), order: int = 12, spacing=None):
@@ -212,7 +221,9 @@ def integrate(f, lo, hi, *, cuts=(), order: int = 12, spacing=None):
     per-cell rule (with cuts) is then translated across the grid, which
     assumes the cut pattern is cell-periodic.  f maps (m, d) arrays to
     (m,) values and may return complex; it is called on about
-    SAMPLE_CHUNK nodes at a time.
+    SAMPLE_CHUNK nodes at a time.  With `spacing` those arrays are the
+    (m, d) float views of `tile_rule`, whose columns are contiguous; f
+    must not assume C order.
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from boxproj import (
     BoxSplineEvaluator,
@@ -447,3 +448,116 @@ class TestRightHandSides:
             project(m, Counting())
             grown = np.array(m.window_shape) + extent - 1
             assert sum(seen) == len(nodes) * int(np.prod(grown))
+
+
+def _reference_matrix(m):
+    """The Gram matrix by COO assembly: for each offset gamma, the rows alpha
+    of the window whose column alpha - gamma stays inside it."""
+    dims = m.window_shape
+    rows, cols, vals = [], [], []
+    for gamma, a in m.gram.items():
+        alpha_idx = quadrature.box_cells(np.maximum(0, gamma), dims + np.minimum(0, gamma))
+        if len(alpha_idx) == 0:
+            continue
+        beta_idx = alpha_idx - np.array(gamma)
+        rows.append(np.ravel_multi_index(alpha_idx.T, dims))
+        cols.append(np.ravel_multi_index(beta_idx.T, dims))
+        vals.append(np.full(len(alpha_idx), a))
+    n = m.unknowns
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n),
+    ).tocsr()
+
+
+def _assert_same_csr(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)
+
+
+class TestMatrix:
+    @pytest.mark.parametrize("name", ["haar", "bspline(3)", "tensor(1,1)", "tensor(2,2)",
+                                      "courant", "courant2", "zp", "3d"])
+    def test_matches_coo_reference(self, name):
+        V = THREE_D if name == "3d" else preset(name)
+        d = V.dimension
+        m = build_model(V, 0.5 if name == "3d" else 0.25,
+                        box=(np.full(d, -1.0), np.full(d, 1.0)))
+        _assert_same_csr(m.matrix(), _reference_matrix(m))
+        gamma = max(m.gram)
+        m.gram[gamma] = m.gram[gamma] + 1e-3
+        _assert_same_csr(m.matrix(), _reference_matrix(m))
+
+    def test_coinciding_flat_offsets(self):
+        # on a window barely wider than the support, offsets (0, 3) and
+        # (1, -2) share one flat offset; their entries must both appear
+        m = build_model(preset("courant2"), 1.0, box=(np.zeros(2), np.zeros(2)), padding=0)
+        strides = (m.window_shape[1], 1)
+        flat = [np.dot(g, strides) for g in m.gram]
+        assert len(set(flat)) < len(flat)
+        _assert_same_csr(m.matrix(), _reference_matrix(m))
+
+
+class TestSampleLayout:
+    """f receives (n, d) float views of coordinate-major (d, n) blocks,
+    holding the values of the C-order construction they replaced."""
+
+    class Recording:
+        def __init__(self, f):
+            self.f = f
+            self.seen = []
+
+        def value(self, X):
+            self.seen.append((X.T.flags.c_contiguous, X.dtype, X.copy()))
+            return self.f.value(X)
+
+        __call__ = value
+
+    @staticmethod
+    def _check(seen, nodes, reference):
+        """Every batch holds whole cells of `nodes`, has contiguous columns,
+        and equals reference(first point of each cell) bit for bit."""
+        n, d = nodes.shape
+        assert seen
+        for contiguous, dtype, X in seen:
+            assert contiguous and dtype == np.float64
+            assert X.ndim == 2 and X.shape[1] == d and len(X) % n == 0
+            assert np.array_equal(X, reference(X[::n]).reshape(-1, d))
+
+    @pytest.mark.parametrize("name", ["tensor(1,1)", "courant", "3d"])
+    def test_project_and_error_norm(self, name):
+        V = THREE_D if name == "3d" else preset(name)
+        d = V.dimension
+        h = 0.25
+        box = (np.full(d, -0.5), np.full(d, 0.5))
+        m = build_model(V, h, box=box, padding=0)
+        nodes = m.cell_table[0]
+
+        def reference(first):
+            cells = np.rint(first / h - nodes[0]).astype(int)
+            return h * (cells[:, None, :] + nodes[None, :, :])
+
+        for run in (lambda f: project(m, f),
+                    lambda f: error_norm(f, m, project(m, gaussian(d, 0.5)), 2.0, domain=box)):
+            f = self.Recording(gaussian(d, 0.5))
+            run(f)
+            self._check(f.seen, nodes, reference)
+
+    @pytest.mark.parametrize("name", ["tensor(1,1)", "courant", "3d"])
+    def test_tiled_integrate(self, name):
+        V = THREE_D if name == "3d" else preset(name)
+        d = V.dimension
+        spacing = 0.25
+        lo = np.full(d, -0.5)
+        cuts = BoxSplineEvaluator(V).quadrature_cuts(spacing)
+        nodes, _ = quadrature.cell_rule([0.0] * d, [spacing] * d, cuts, 6)
+
+        def reference(first):
+            origins = lo + spacing * np.rint((first - nodes[0] - lo) / spacing).astype(int)
+            return origins[:, None, :] + nodes[None, :, :]
+
+        f = self.Recording(gaussian(d, 0.5))
+        quadrature.integrate(f, lo, lo + 1.0, cuts=cuts, order=6, spacing=spacing)
+        self._check(f.seen, nodes, reference)
