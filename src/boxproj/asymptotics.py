@@ -11,14 +11,13 @@ side by projecting along a ladder of meshes.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .lattice import UnsupportedDimensionError, _coerce, hyperplane_classes, multi_indices, product_derivative
 from .bernoulli import bernoulli_interior_roots, bernoulli_l2_norm_sq, ridge_lp_power, spline_term
-from .projection import build_model, error_norm, project
+from .projection import RULE_ORDER, build_model, error_norm, project
 from . import quadrature
 
 CHUNK_ROWS = 2048  # outer nodes per block of the direct sum at p != 2
@@ -215,7 +214,7 @@ class ConvergenceReport:
 
 
 def convergence_sweep(f, V, p: float, ladder, padding: int | None = None,
-                      rule_order: int = 10, norm_order: int = 10,
+                      norm_order: int = RULE_ORDER,
                       constant: float | None = None) -> ConvergenceReport:
     """Project f along a mesh ladder and compare the scaled error power
     with the limit constant.
@@ -231,7 +230,7 @@ def convergence_sweep(f, V, p: float, ladder, padding: int | None = None,
     k = V.margin + 1
     norms, ratios = [], []
     for h in ladder:
-        model = build_model(V, h, f, padding=padding, order=rule_order)
+        model = build_model(V, h, f, padding=padding)
         coeffs = project(model, f)
         norm, power = error_norm(f, model, coeffs, p, order=norm_order)
         norms.append(norm)

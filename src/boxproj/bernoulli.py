@@ -17,7 +17,6 @@ from functools import lru_cache
 import numpy as np
 
 from .lattice import (
-    DirectionSet,
     HyperplaneClass,
     MultiIndex,
     _coerce,

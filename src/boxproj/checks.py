@@ -40,7 +40,6 @@ from . import (
 )
 from .bernoulli import bernoulli_l2_norm_sq_series, bernoulli_periodic
 from . import quadrature
-import scipy.sparse as sp
 
 
 @dataclass

@@ -22,7 +22,7 @@ import numpy as np
 
 from .lattice import DirectionSet, MultiIndex, NonUnimodularError, hyperplane_classes, multi_indices, product_derivative
 from .bernoulli import error_expansion, monomial_error_series
-from .projection import SolverError, build_model, error_norm, project
+from .projection import RULE_ORDER, SolverError, build_model, error_norm, project
 from .asymptotics import convergence_sweep, error_constant, error_constant_l2
 from .testfunctions import bump, gaussian, monomial
 from .presets import PRESET_NAMES, preset
@@ -85,7 +85,7 @@ class ExperimentConfig:
         "preset", "vectors", "function", "scale", "radius", "exponents",
         "p", "h", "ladder", "beta", "padding", "box", "domain",
         "tolerance", "grid", "series_radius", "series_mode",
-        "rule_order", "norm_order",
+        "norm_order",
     }
 
     @classmethod
@@ -248,13 +248,13 @@ def cmd_project(cfg: ExperimentConfig, args) -> int:
     p = cfg.number("p", 2.0)
     padding = cfg.get("padding")
     model = build_model(V, h, f, padding=None if padding is None else int(padding),
-                        box=cfg.box(), order=int(cfg.number("rule_order", 10)))
+                        box=cfg.box())
     coeffs = project(model, f)
     domain = cfg.box("domain")
     if domain is None and f.effective_box() is None:
         domain = cfg.box()
     norm, power = error_norm(f, model, coeffs, p, domain=domain,
-                             order=int(cfg.number("norm_order", 10)))
+                             order=int(cfg.number("norm_order", RULE_ORDER)))
     lines = _describe(V, cfg) + [
         f"h = {_fmt(h)}",
         f"window_lo = {tuple(int(a) for a in model.window_lo)}",
@@ -301,8 +301,7 @@ def cmd_converge(cfg: ExperimentConfig, args) -> int:
     rep = convergence_sweep(
         f, V, p, [float(h) for h in ladder],
         padding=None if padding is None else int(padding),
-        rule_order=int(cfg.number("rule_order", 10)),
-        norm_order=int(cfg.number("norm_order", 10)),
+        norm_order=int(cfg.number("norm_order", RULE_ORDER)),
     )
     rows = [
         [h, rep.ratios[i], rep.fitted_rate, rep.constant, rep.rel_error]

@@ -25,6 +25,7 @@ from . import quadrature
 MAX_UNKNOWNS = 600_000
 RESIDUAL_TOL = 1e-12
 GRAM_DROP = 1e-14
+RULE_ORDER = 10  # Gauss-Legendre order of the cell rule behind the model's tables
 
 
 class SolverError(RuntimeError):
@@ -35,7 +36,7 @@ def _value_fn(f):
     return f.value if hasattr(f, "value") else f
 
 
-def autocorrelation(V, offset, order: int = 10, route: str = "quadrature") -> float:
+def autocorrelation(V, offset, route: str = "quadrature") -> float:
     """Inner product of the spline with its shift by an integer offset.
 
     route='quadrature' reads the entry of `autocorrelation_table` (0.0 for
@@ -50,21 +51,30 @@ def autocorrelation(V, offset, order: int = 10, route: str = "quadrature") -> fl
         return float(BoxSplineEvaluator(doubled)(np.array(offset, dtype=float)))
     if route != "quadrature":
         raise ValueError(f"unknown route {route!r}")
-    return autocorrelation_table(V, order).get(offset, 0.0)
+    return autocorrelation_table(V).get(offset, 0.0)
 
 
-def autocorrelation_table(V, order: int = 10) -> dict[tuple[int, ...], float]:
+def autocorrelation_table(V) -> dict[tuple[int, ...], float]:
     """All nonzero shift autocorrelations a(gamma) = int B(x) B(x - gamma) dx,
     keyed by integer offset in lexicographic order.
 
-    A contraction of `cell_spline_table`: with support cells c_j =
-    -offsets[j] and G = (table * weights) table^T, the integral over
-    support cell c_j of B(x) B(x - gamma) is G[j, j'] for the cell c_j' =
-    c_j - gamma, so a(gamma) is the sum of G over the pairs with c_j - c_j'
-    = gamma.  Entries of magnitude at most GRAM_DROP are left out.
+    The contraction `_gram` of a freshly built `cell_spline_table` at
+    RULE_ORDER; `build_model` applies the same contraction to the table
+    it keeps, so a model's `gram` equals this table exactly.
     """
-    V = _coerce(V)
-    _, weights, offsets, table = cell_spline_table(BoxSplineEvaluator(V), order)
+    return _gram(cell_spline_table(BoxSplineEvaluator(_coerce(V))))
+
+
+def _gram(cell_table) -> dict[tuple[int, ...], float]:
+    """The Gram table of a `cell_spline_table`.
+
+    With support cells c_j = -offsets[j] and G = (table * weights)
+    table^T, the integral over support cell c_j of B(x) B(x - gamma) is
+    G[j, j'] for the cell c_j' = c_j - gamma, so a(gamma) is the sum of G
+    over the pairs with c_j - c_j' = gamma.  Entries of magnitude at most
+    GRAM_DROP are left out.
+    """
+    _, weights, offsets, table = cell_table
     gram = (table * weights) @ table.T
     gammas = (offsets[None, :, :] - offsets[:, None, :]).reshape(-1, offsets.shape[1])
     keys, inverse = np.unique(gammas, axis=0, return_inverse=True)
@@ -99,13 +109,13 @@ class CoefficientField:
 class SplineSpaceModel:
     """Precomputed machinery for projecting at one mesh size.
 
-    Holds the window (in lattice units), the Gram table of
-    `autocorrelation_table` (at its default rule order), and the
-    cell-periodic spline table of `cell_spline_table` at rule order
-    `order`, which serves both the right-hand sides of `project` and the
-    error norms of `error_norm`.  Nothing is derived from `gram` and
-    kept: `matrix()` lays it out afresh on each call, so an edit to `gram`
-    takes effect at the next `project`.
+    Holds the window (in lattice units), the cell-periodic spline table
+    of `cell_spline_table` at RULE_ORDER, and the Gram table contracted
+    from it (equal to `autocorrelation_table`).  The spline table serves
+    the Gram table, the right-hand sides of `project` and the error norms
+    of `error_norm`.  Nothing is derived from `gram` and kept: `matrix()`
+    lays it out afresh on each call, so an edit to `gram` takes effect at
+    the next `project`.
     """
 
     V: DirectionSet
@@ -115,7 +125,6 @@ class SplineSpaceModel:
     gram: dict[tuple[int, ...], float]
     evaluator: BoxSplineEvaluator
     cell_table: tuple
-    order: int
     padding: int
 
     @property
@@ -150,7 +159,7 @@ class SplineSpaceModel:
         return A
 
 
-def cell_spline_table(spline: BoxSplineEvaluator, order: int = 10):
+def cell_spline_table(spline: BoxSplineEvaluator, order: int = RULE_ORDER):
     """The spline at one cell rule's nodes, under every shift that reaches it.
 
     Returns (nodes, weights, offsets, table): the cut-aware rule y_l, w_l
@@ -174,14 +183,21 @@ def cell_spline_table(spline: BoxSplineEvaluator, order: int = 10):
     return nodes, weights, -cells[live], table[live]
 
 
-def build_model(V, h: float, f=None, padding: int | None = None, box=None,
-                order: int = 10) -> SplineSpaceModel:
-    """Assemble window, Gram table and cell spline table for mesh size h.
+def build_model(V, h: float, f=None, padding: int | None = None, box=None) -> SplineSpaceModel:
+    """Assemble window, cell spline table and Gram table for mesh size h.
 
     The window collects every shift whose support touches the effective
     box of f (or the explicit `box`), inflated by `padding` cells; the
-    default padding is three support diameters.
+    default padding is three support diameters.  The spline is evaluated
+    once, for the cell table, and the Gram table is contracted from it.
+    A mesh size that is not finite and positive, or a negative padding,
+    raises ValueError.
     """
+    h = float(h)
+    if not (np.isfinite(h) and h > 0.0):
+        raise ValueError(f"mesh size h must be finite and positive, got {h}")
+    if padding is not None and padding < 0:
+        raise ValueError(f"padding must be nonnegative, got {padding}")
     V = _coerce(V)
     spline = BoxSplineEvaluator(V)
     if box is None:
@@ -198,15 +214,15 @@ def build_model(V, h: float, f=None, padding: int | None = None, box=None,
     shape = tuple(int(b - a + 1) for a, b in zip(wlo, whi))
     if int(np.prod(shape)) > MAX_UNKNOWNS:
         raise ValueError(f"window of {np.prod(shape)} unknowns exceeds cap")
+    table = cell_spline_table(spline)
     return SplineSpaceModel(
         V=V,
-        h=float(h),
+        h=h,
         window_lo=wlo,
         window_shape=shape,
-        gram=autocorrelation_table(V),
+        gram=_gram(table),
         evaluator=spline,
-        cell_table=cell_spline_table(spline, order),
-        order=order,
+        cell_table=table,
         padding=padding,
     )
 
@@ -320,7 +336,7 @@ def spline_values(model: SplineSpaceModel, coeffs: CoefficientField, x) -> np.nd
 
 
 def error_norm(f, model: SplineSpaceModel, coeffs: CoefficientField, p: float,
-               domain=None, order: int = 10) -> tuple[float, float]:
+               domain=None, order: int = RULE_ORDER) -> tuple[float, float]:
     """Lp norm (and its p-th power) of f minus its projection over a box.
 
     The box is snapped outward to the mesh and integrated cell by cell
@@ -328,9 +344,14 @@ def error_norm(f, model: SplineSpaceModel, coeffs: CoefficientField, p: float,
     splines so the piecewise-smooth integrand is handled cleanly.  The
     projection at the nodes of mesh cell m is the coefficients
     c_{m + delta} gathered against `cell_spline_table`: the model's own
-    table when `order` is the model's rule order, else one built for this
-    call; the box spline is never evaluated per node.
+    table when `order` is RULE_ORDER, else one built for this call at
+    `order` (at p != 2 the integrand is not piecewise polynomial, so a
+    higher order shrinks the rule's error); the box spline is never
+    evaluated per node.  An exponent p below 1 or not finite raises
+    ValueError.
     """
+    if not (np.isfinite(p) and p >= 1.0):
+        raise ValueError(f"norm exponent p must be finite and at least 1, got {p}")
     fv = _value_fn(f)
     h, d = model.h, model.V.dimension
     if domain is None:
@@ -340,7 +361,7 @@ def error_norm(f, model: SplineSpaceModel, coeffs: CoefficientField, p: float,
         domain = box
     mlo = np.floor(np.asarray(domain[0], dtype=float) / h).astype(int)
     mhi = np.ceil(np.asarray(domain[1], dtype=float) / h).astype(int)
-    if order == model.order:
+    if order == RULE_ORDER:
         nodes, weights, offsets, table = model.cell_table
     else:
         nodes, weights, offsets, table = cell_spline_table(model.evaluator, order)
@@ -361,7 +382,7 @@ def error_norm(f, model: SplineSpaceModel, coeffs: CoefficientField, p: float,
 
 
 def residual_orthogonality(f, model: SplineSpaceModel, coeffs: CoefficientField,
-                           alphas, order: int = 10) -> float:
+                           alphas) -> float:
     """Max over the given shifts of |<f - Pf, B(./h - alpha)>|, recomputed
     by direct quadrature (independent of the assembly path)."""
     fv = _value_fn(f)
@@ -377,20 +398,20 @@ def residual_orthogonality(f, model: SplineSpaceModel, coeffs: CoefficientField,
             return diff * model.evaluator(X / h - a)
 
         val = quadrature.integrate(
-            integrand, h * (a + zlo), h * (a + zhi), cuts=cuts, order=order, spacing=h
+            integrand, h * (a + zlo), h * (a + zhi), cuts=cuts, order=RULE_ORDER, spacing=h
         )
         worst = max(worst, abs(float(val)))
     return worst
 
 
-def gram_symbol_range(V, grid: int = 64, order: int = 10) -> tuple[float, float]:
+def gram_symbol_range(V, grid: int = 64) -> tuple[float, float]:
     """Min and max of the Gram symbol sum_gamma a(gamma) cos(2 pi gamma.w).
 
     A positive minimum certifies the shifts form a Riesz basis, hence the
     normal equations are uniformly well posed.
     """
     V = _coerce(V)
-    table = autocorrelation_table(V, order=order)
+    table = autocorrelation_table(V)
     d = V.dimension
     w = quadrature.product_grid([np.linspace(0.0, 1.0, grid, endpoint=False)] * d)
     sym = np.zeros(len(w))

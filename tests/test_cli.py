@@ -138,6 +138,15 @@ class TestProject:
         rows = read_csv(out1)
         assert set(rows[0]) == {"alpha1", "coefficient"}
 
+    @pytest.mark.parametrize("line, word", [("h = 0", "mesh size"), ("p = 0", "exponent"),
+                                            ("p = -1", "exponent")])
+    def test_invalid_mesh_size_or_exponent_exits_2(self, tmp_path, capsys, line, word):
+        path = write_cfg(tmp_path, f"preset = bspline(2)\nfunction = gaussian\n{line}\n")
+        assert main(["project", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert "error: " in captured.err and word in captured.err
+        assert "error_norm" not in captured.out
+
     def test_solver_error_is_reported(self, tmp_path, capsys, monkeypatch):
         def fail(model, f):
             raise SolverError("relative residual 1.000e-03 above 1e-12")

@@ -71,9 +71,14 @@ class TestAutocorrelation:
         table = autocorrelation_table(V)
         assert list(table) == sorted(ref)
         assert max(abs(table[k] - ref[k]) for k in ref) <= 1e-15
+        # a model's Gram table is the same contraction of its own cell table
+        box = (np.zeros(V.dimension), np.ones(V.dimension))
+        assert list(build_model(V, 0.5, box=box).gram.items()) == list(table.items())
 
-    def test_table_builds_one_evaluator(self, monkeypatch):
-        V = preset("courant2")
+    @staticmethod
+    def _count_evaluations(monkeypatch, V, build):
+        """Evaluators built and spline points evaluated by build(), and
+        the cap n_support_cells x n_nodes of one cell table of V."""
         spline = BoxSplineEvaluator(V)
         nodes = cell_spline_table(spline)[0]
         n_cells = int(np.prod(np.rint(spline.support_hi - spline.support_lo)))
@@ -90,9 +95,22 @@ class TestAutocorrelation:
 
         monkeypatch.setattr(BoxSplineEvaluator, "__init__", counting_init)
         monkeypatch.setattr(BoxSplineEvaluator, "__call__", counting_call)
-        autocorrelation_table(V)
-        assert len(built) == 1
-        assert sum(seen) <= n_cells * len(nodes)
+        build()
+        return len(built), sum(seen), n_cells * len(nodes)
+
+    def test_table_builds_one_evaluator(self, monkeypatch):
+        V = preset("courant2")
+        built, points, cap = self._count_evaluations(
+            monkeypatch, V, lambda: autocorrelation_table(V))
+        assert built == 1
+        assert points <= cap
+
+    def test_build_model_evaluates_one_table(self, monkeypatch):
+        V = preset("courant2")
+        built, points, cap = self._count_evaluations(
+            monkeypatch, V, lambda: build_model(V, 1 / 32, gaussian(2, 1.0)))
+        assert built == 1
+        assert points <= cap
 
     def test_symmetry_and_row_sum(self):
         for name in ("bspline(2)", "courant", "tensor(2,2)"):
@@ -211,6 +229,15 @@ class TestProjection:
         for alpha in probe:
             assert abs(c1.value_at(alpha) - c2.value_at(alpha)) < 1e-8
 
+    @pytest.mark.parametrize("h", [0.0, -0.25, np.inf, np.nan])
+    def test_mesh_size_must_be_finite_and_positive(self, h):
+        with pytest.raises(ValueError, match="mesh size"):
+            build_model(preset("bspline(2)"), h, gaussian(1, 1.0))
+
+    def test_negative_padding_rejected(self):
+        with pytest.raises(ValueError, match="padding"):
+            build_model(preset("bspline(2)"), 0.5, gaussian(1, 1.0), padding=-1)
+
     def test_oversize_window_rejected(self):
         V = preset("courant")
         with pytest.raises(ValueError, match="cap"):
@@ -265,6 +292,15 @@ class TestErrorNorm:
         full, _ = error_norm(g, m, c, 2.0)
         half, _ = error_norm(g, m, c, 2.0, domain=(np.array([-2.0]), np.array([2.0])))
         assert half <= full + 1e-15
+
+    @pytest.mark.parametrize("p", [0.0, 0.5, -1.0, np.inf, np.nan])
+    def test_exponent_below_one_or_not_finite_rejected(self, p):
+        V = preset("bspline(2)")
+        g = gaussian(1, 1.0)
+        m = build_model(V, 0.5, g)
+        c = project(m, g)
+        with pytest.raises(ValueError, match="exponent"):
+            error_norm(g, m, c, p)
 
     def test_p1_and_p3_run(self):
         V = preset("bspline(2)")
@@ -362,14 +398,11 @@ class TestCellSplineTable:
 
     def test_spline_evaluations_do_not_grow_with_refinement(self, monkeypatch):
         # build_model's table is the only spline evaluation left in a
-        # build/project/error_norm pass (error_norm reuses it); the Gram
-        # table, also independent of h, is stubbed out of the count
+        # build/project/error_norm pass: the Gram table is contracted from
+        # it and error_norm reuses it
         V = preset("courant")
         g = gaussian(2, 1.0)
         nodes, _, offsets, _ = cell_spline_table(BoxSplineEvaluator(V))
-        gram = autocorrelation_table(V)
-        monkeypatch.setattr("boxproj.projection.autocorrelation_table",
-                            lambda V, order=10: dict(gram))
         call = BoxSplineEvaluator.__call__
         seen = []
 
@@ -401,7 +434,7 @@ class Polynomial:
 def _reference_right_hand_sides(m, f):
     """b_alpha = sum over the support rule of f(h(alpha + p)) w_p B(p): the
     support cells' rule laid out around each shift, f sampled per shift."""
-    nodes, weights, offsets, _ = cell_spline_table(m.evaluator, m.order)
+    nodes, weights, offsets, _ = cell_spline_table(m.evaluator)
     pts, wts = quadrature.tile_rule(nodes, weights, -offsets)
     bw = wts * m.evaluator(pts)
     return np.array([f.value(m.h * (alpha + pts)) @ bw for alpha in m.window_alphas()])
