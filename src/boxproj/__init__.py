@@ -27,7 +27,6 @@ from .lattice import (
     linear_form_product,
     multi_indices,
     nonorthogonal_directions,
-    primitive_normal,
     product_derivative,
     spans_full,
 )

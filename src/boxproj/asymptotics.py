@@ -17,10 +17,13 @@ import numpy as np
 
 from .lattice import UnsupportedDimensionError, _coerce, hyperplane_classes, multi_indices, product_derivative
 from .bernoulli import bernoulli_interior_roots, bernoulli_l2_norm_sq, ridge_lp_power, spline_term
-from .projection import RULE_ORDER, build_model, error_norm, project
+from .projection import RULE_ORDER, _check_exponent, build_model, error_norm, project
 from . import quadrature
 
 CHUNK_ROWS = 2048  # outer nodes per block of the direct sum at p != 2
+INNER_ORDER = 16  # Gauss order of the cut cell rule of the ridge terms
+OUTER_ORDER = 12  # Gauss order of the outer rule over the support of f
+SAMPLE_SEED = 7  # seed of the coefficient directions of norm_equivalence_constants
 
 
 def directional_derivative(f, vectors, t, route: str = "expansion"):
@@ -102,8 +105,8 @@ def _ridge_cell_table(V, order: int):
     return terms, B, wts
 
 
-def error_constant(f, V, p: float, inner_order: int = 16, outer_order: int = 12) -> float:
-    """Limit constant by direct double quadrature, any p >= 1.
+def error_constant(f, V, p: float) -> float:
+    """Limit constant by direct double quadrature, any finite p >= 1.
 
     Inner integral over one lattice cell of |sum of ridge terms|^p; outer
     integral over t of the class derivatives of f.  The inner cell is cut
@@ -118,11 +121,13 @@ def error_constant(f, V, p: float, inner_order: int = 16, outer_order: int = 12)
     the same nodes.  The cross terms are kept, so this measures the
     orthogonality that `error_constant_l2` assumes.  Other p sum
     |D B^T|^p directly, CHUNK_ROWS outer nodes at a time.  Dimensions
-    above 2 raise `UnsupportedDimensionError`.
+    above 2 raise `UnsupportedDimensionError`; p below 1 or not finite
+    raises ValueError.
     """
+    _check_exponent(p)
     V = _coerce(V)
-    terms, B, xwts = _ridge_cell_table(V, inner_order)
-    tpts, twts = _outer_rule(f, outer_order)
+    terms, B, xwts = _ridge_cell_table(V, INNER_ORDER)
+    tpts, twts = _outer_rule(f, OUTER_ORDER)
     D = np.stack(
         [directional_derivative(f, t.hyperplane.members, tpts) for t in terms], axis=-1
     )
@@ -137,7 +142,7 @@ def error_constant(f, V, p: float, inner_order: int = 16, outer_order: int = 12)
     return float(total)
 
 
-def error_constant_l2(f, V, outer_order: int = 12) -> float:
+def error_constant_l2(f, V, outer_order: int = OUTER_ORDER) -> float:
     """Closed form at p = 2: the ridge terms are L2-orthogonal over a cell.
 
     Distinct classes have non-parallel normals, so their lattice Fourier
@@ -175,8 +180,7 @@ def _extrapolate(ladder, ratios) -> float:
     return float(ratios[-1])
 
 
-def norm_equivalence_constants(V, p: float, samples: int = 4000, seed: int = 7,
-                               inner_order: int = 16) -> tuple[float, float]:
+def norm_equivalence_constants(V, p: float, samples: int = 4000) -> tuple[float, float]:
     """Numerical equivalence constants on the span of the ridge terms.
 
     Returns (c1, c2) such that, over sampled coefficient directions a,
@@ -184,12 +188,13 @@ def norm_equivalence_constants(V, p: float, samples: int = 4000, seed: int = 7,
     sum |a_U|^p * cell-power of term_U.  At p = 2 orthogonality forces
     c1 = c2 = 1; for other p this gives the loose sandwich used to
     validate the generic constant.  Dimensions above 2 raise
-    `UnsupportedDimensionError`.
+    `UnsupportedDimensionError`; p below 1 or not finite raises ValueError.
     """
+    _check_exponent(p)
     V = _coerce(V)
-    terms, B, wts = _ridge_cell_table(V, inner_order)
-    powers = np.array([ridge_lp_power(t, p, inner_order) for t in terms])
-    rng = np.random.default_rng(seed)
+    terms, B, wts = _ridge_cell_table(V, INNER_ORDER)
+    powers = np.array([ridge_lp_power(t, p, INNER_ORDER) for t in terms])
+    rng = np.random.default_rng(SAMPLE_SEED)
     A = rng.normal(size=(samples, len(terms)))
     A /= np.linalg.norm(A, axis=1, keepdims=True)
     lhs = (np.abs(A @ B.T) ** p) @ wts

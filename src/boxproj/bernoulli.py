@@ -27,6 +27,8 @@ from .boxspline import transform_derivatives
 
 TWO_PI_I = 2j * np.pi
 SERIES_CHUNK = 1 << 14  # (point, frequency) pairs per block of the series sum (cache-sized)
+NORM_SERIES_BASE = 64  # first truncation of the Fourier-side norm series
+NORM_SERIES_LEVELS = 6  # doublings of it that the Neville extrapolation combines
 
 
 @lru_cache(maxsize=None)
@@ -81,7 +83,7 @@ def bernoulli_l2_norm_sq(k: int) -> Fraction:
     return Fraction((-1) ** (k - 1)) * nums[2 * k] / math.factorial(2 * k)
 
 
-def bernoulli_l2_norm_sq_series(k: int, base: int = 64, levels: int = 6) -> float:
+def bernoulli_l2_norm_sq_series(k: int) -> float:
     """Squared L2 norm over a period, from the Fourier side.
 
     By orthogonality the integral equals 2 sum_{n>0} (2 pi n)^(-2k).  Raw
@@ -91,15 +93,15 @@ def bernoulli_l2_norm_sq_series(k: int, base: int = 64, levels: int = 6) -> floa
     the limit to near machine precision.
     """
     xs, vals = [], []
-    for j in range(levels):
-        n_max = base << j
+    for j in range(NORM_SERIES_LEVELS):
+        n_max = NORM_SERIES_BASE << j
         n = np.arange(1, n_max + 1, dtype=float)
         xs.append(1.0 / n_max)
         vals.append(2.0 * float(np.sum((2.0 * np.pi * n) ** (-2 * k))))
     table = list(vals)
-    for m in range(1, levels):
+    for m in range(1, NORM_SERIES_LEVELS):
         nxt = []
-        for i in range(levels - m):
+        for i in range(NORM_SERIES_LEVELS - m):
             num = table[i + 1] * xs[i] - table[i] * xs[i + m]
             nxt.append(num / (xs[i] - xs[i + m]))
         table = nxt

@@ -18,7 +18,7 @@ from .lattice import (
     DirectionSet,
     MultiIndex,
     _coerce,
-    _integer_kernel_vector,
+    _hyperplane_normal,
     integer_rank,
     nonorthogonal_directions,
     product_derivative,
@@ -27,30 +27,18 @@ from . import quadrature
 
 TWO_PI_I = 2j * np.pi
 MAX_DERIVATIVE_ORDER = 12
-_SINC_TAYLOR_RADIUS = 1e-3
 _MOMENT_TAYLOR_RADIUS = 0.5
 _MOMENT_TAYLOR_TERMS = 40
+NUDGE = 1e-9  # step off a knot hyperplane in BoxSplineEvaluator
 
 
 def sinc_factor(t):
     """(1 - exp(-2 pi i t)) / (2 pi i t), the per-direction transform factor.
 
-    Entire in t; near zero a degree-10 Taylor series avoids the 0/0.
+    Entire in t: the zeroth moment of `sinc_factor_derivative`, whose
+    Taylor branch below |t| = 0.5 avoids the 0/0.
     """
-    t = np.asarray(t, dtype=float)
-    small = np.abs(t) < _SINC_TAYLOR_RADIUS
-    safe = np.where(small, 1.0, t)
-    direct = (1.0 - np.exp(-TWO_PI_I * t)) / (TWO_PI_I * safe)
-    z = -TWO_PI_I * t
-    series = np.zeros_like(direct)
-    term = np.ones_like(z)
-    for j in range(11):
-        series = series + term / math.factorial(j + 1)
-        term = term * z
-    out = np.where(small, series, direct)
-    if out.ndim == 0:
-        return complex(out)
-    return out
+    return sinc_factor_derivative(0, t)
 
 
 @lru_cache(maxsize=None)
@@ -118,27 +106,24 @@ def fourier_transform(V, xi):
 def transform_derivative(V, beta, freq, route: str = "auto") -> complex:
     """D^beta of the transform, at a nonzero integer frequency.
 
-    route='leibniz' expands the product rule over all ways of distributing
-    the derivatives; route='factored' uses the closed form valid when the
-    derivative order equals the number of directions not orthogonal to
-    freq (each such factor takes exactly one derivative, every other
-    assignment kills a factor at an integer).  route='auto' picks the
-    closed form or a structural zero, and expands only above the active
-    count.  'auto' and 'factored' evaluate `transform_derivatives` on the
-    one row freq, so the closed-form rule lives there; 'leibniz' stays a
-    separate per-frequency computation, the independent check of it.
+    route='auto' evaluates `transform_derivatives` on the one row freq:
+    the closed form when the derivative order equals the number of
+    directions not orthogonal to freq (each such factor takes exactly one
+    derivative, every other assignment kills a factor at an integer), a
+    structural zero above it, the product rule below it.  route='leibniz'
+    expands the product rule over all ways of distributing the
+    derivatives, a separate per-frequency computation that is the
+    independent check of the closed form.
     """
     V = _coerce(V)
     beta = MultiIndex.of(beta)
-    active = nonorthogonal_directions(V, freq)
     if route == "leibniz":
+        nonorthogonal_directions(V, freq)
         _check_derivative_order(V, beta)
         dots = [sum(f * x for f, x in zip(freq, v)) for v in V.vectors]
         return _leibniz_derivative(V, beta, dots)
-    if route not in ("auto", "factored"):
+    if route != "auto":
         raise ValueError(f"unknown route {route!r}")
-    if route == "factored" and beta.order != len(active):
-        raise ValueError("factored route needs |beta| = #active directions")
     return complex(transform_derivatives(V, beta, [freq])[0])
 
 
@@ -252,14 +237,13 @@ class BoxSplineEvaluator:
     """Vectorized pointwise evaluation by the two-term mesh recurrence.
 
     Points sitting on a knot hyperplane (where the value of a low-order
-    spline is ambiguous) are nudged by eps along a direction with
+    spline is ambiguous) are nudged by NUDGE along a direction with
     rationally independent coordinates, which moves them off every such
     hyperplane simultaneously.
     """
 
-    def __init__(self, V, eps: float = 1e-9):
+    def __init__(self, V):
         self.V = _coerce(V)
-        self.eps = eps
         d = self.V.dimension
         counts: dict[tuple[int, ...], int] = {}
         for v in self.V.vectors:
@@ -284,12 +268,9 @@ class BoxSplineEvaluator:
         d = self.V.dimension
         if d == 1:
             return ((1,),)
-        normals = set()
-        for idx in itertools.combinations(range(len(self.distinct)), d - 1):
-            rows = [self.distinct[i] for i in idx]
-            if integer_rank(rows) != d - 1:
-                continue
-            normals.add(_integer_kernel_vector(rows, d))
+        normals = {_hyperplane_normal(rows, d)
+                   for rows in itertools.combinations(self.distinct, d - 1)}
+        normals.discard(None)
         return tuple(sorted(normals))
 
     def quadrature_cuts(self, spacing: float = 1.0):
@@ -312,7 +293,7 @@ class BoxSplineEvaluator:
                 hit |= np.abs(s - np.rint(s)) < 1e-11
             if not hit.any():
                 break
-            X[hit] += self.eps * self._nudge_dir
+            X[hit] += NUDGE * self._nudge_dir
         return X
 
     def _spans(self, sig) -> bool:

@@ -87,55 +87,49 @@ def _as_int_vector(v) -> tuple[int, ...]:
     return vec
 
 
-def integer_rank(rows) -> int:
-    """Rank of an integer matrix, by fraction-free row elimination."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
-        if pivot is None:
+def _echelon(rows):
+    """Fraction-free row echelon form of an integer matrix (Bareiss, 1968).
+
+    Returns (rows, pivot columns, sign of the row permutation).  Columns
+    without a pivot are skipped; each pivot (r, c) applies
+    a[i] = (a[r][c] a[i] - a[i][c] a[r]) // prev to the rows below it,
+    prev being the previous pivot (1 at the first); every entry
+    stays an integer minor of the input, so the division is exact, also
+    for a rank-deficient or rectangular matrix.  Rows past the rank end
+    up zero, so for any square matrix the determinant is sign * a[-1][-1].
+    """
+    a = [list(r) for r in rows]
+    pivots: list[int] = []
+    sign, prev = 1, 1
+    for c in range(len(a[0]) if a else 0):
+        r = p = len(pivots)
+        while p < len(a) and a[p][c] == 0:
+            p += 1
+        if p == len(a):
             continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        a = mat[rank][col]
-        for i in range(rank + 1, len(mat)):
-            b = mat[i][col]
-            if b == 0:
-                continue
-            g = math.gcd(a, b)
-            fa, fb = a // g, b // g
-            mat[i] = [fa * x - fb * y for x, y in zip(mat[i], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+        if p != r:
+            a[r], a[p] = a[p], a[r]
+            sign = -sign
+        top, pv = a[r], a[r][c]
+        for i in range(r + 1, len(a)):
+            a[i] = [(pv * x - a[i][c] * y) // prev for x, y in zip(a[i], top)]
+        prev = pv
+        pivots.append(c)
+    return a, pivots, sign
+
+
+def integer_rank(rows) -> int:
+    """Rank of an integer matrix."""
+    return len(_echelon(rows)[1])
 
 
 def integer_det(rows) -> int:
-    """Determinant of a square integer matrix (Bareiss elimination)."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    if any(len(r) != n for r in a):
+    """Determinant of a square integer matrix."""
+    rows = [list(r) for r in rows]
+    if any(len(r) != len(rows) for r in rows):
         raise ValueError("matrix must be square")
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    a, _, sign = _echelon(rows)
+    return sign * a[-1][-1] if a else 1
 
 
 def spans_full(vectors, dim: int) -> bool:
@@ -147,44 +141,25 @@ def spans_full(vectors, dim: int) -> bool:
     return integer_rank(vecs) == dim
 
 
-def _integer_kernel_vector(rows, dim: int) -> tuple[int, ...]:
-    """Primitive integer vector orthogonal to all rows.
+def _hyperplane_normal(rows, dim: int) -> tuple[int, ...] | None:
+    """Primitive integer normal of the hyperplane the rows span, or None
+    when the rows (vectors in R^dim) do not have rank dim - 1.
 
-    Requires the rows to have rank exactly dim-1, so the kernel is a line.
-    The result is normalized to content 1 with its first nonzero entry
-    positive.
+    The kernel line is read off the echelon form by back-substitution,
+    then normalized to content 1 with its first nonzero entry positive.
     """
-    mat = [[Fraction(x) for x in row] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(dim):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    if r != dim - 1:
-        raise ValueError(f"rows have rank {r}, expected {dim - 1}")
-    free = next(c for c in range(dim) if c not in pivots)
+    a, pivots, _ = _echelon(rows)
+    if len(pivots) != dim - 1:
+        return None
     x = [Fraction(0)] * dim
-    x[free] = Fraction(1)
-    for row_i, c in enumerate(pivots):
-        x[c] = -mat[row_i][free]
+    x[next(c for c in range(dim) if c not in pivots)] = Fraction(1)
+    for row, c in reversed(list(zip(a, pivots))):
+        x[c] = Fraction(-sum(row[j] * x[j] for j in range(c + 1, dim)), row[c])
     scale = math.lcm(*(f.denominator for f in x))
     ints = [int(f * scale) for f in x]
     content = math.gcd(*ints)
-    ints = [v // content for v in ints]
     lead = next(v for v in ints if v != 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
+    return tuple(v // content if lead > 0 else -v // content for v in ints)
 
 
 # ---------------------------------------------------------------------------
@@ -272,18 +247,6 @@ def deletion_margin(V) -> int:
     return n - d
 
 
-def primitive_normal(V, member_indices) -> tuple[int, ...]:
-    """Primitive integer normal of the span of V with `member_indices` deleted.
-
-    The remaining vectors must span a hyperplane.  Sign convention: first
-    nonzero entry positive.
-    """
-    V = _coerce(V)
-    drop = set(member_indices)
-    rest = [V[i] for i in range(len(V)) if i not in drop]
-    return _integer_kernel_vector(rest, V.dimension)
-
-
 @dataclass(frozen=True)
 class HyperplaneClass:
     """One class of the critical-deletion family of a direction set.
@@ -315,7 +278,10 @@ def hyperplane_classes(V) -> tuple[HyperplaneClass, ...]:
 
     Classes are value multisets: repeated vectors produce a single class.
     Requires unimodularity; the expansion coefficients downstream are only
-    valid on the integer lattice in that case.
+    valid on the integer lattice in that case.  A complement that keeps
+    the span has no normal and is skipped; one of rank below d - 1 cannot
+    occur, since deleting margin vectors keeps the span and one more
+    lowers the rank by at most one.
     """
     V = _coerce(V)
     if not V.is_unimodular:
@@ -327,10 +293,9 @@ def hyperplane_classes(V) -> tuple[HyperplaneClass, ...]:
         members = tuple(sorted(V[i] for i in idx))
         if members in seen:
             continue
-        rest = [V[i] for i in range(n) if i not in idx]
-        if integer_rank(rest) == d:
+        alpha = _hyperplane_normal([V[i] for i in range(n) if i not in idx], d)
+        if alpha is None:
             continue
-        alpha = _integer_kernel_vector(rest, d)
         dens = tuple(_dot(alpha, v) for v in members)
         if any(q == 0 for q in dens):
             raise AssertionError("normal pairs to zero against a deleted vector")

@@ -10,7 +10,6 @@ lattice coordinates.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -26,6 +25,7 @@ MAX_UNKNOWNS = 600_000
 RESIDUAL_TOL = 1e-12
 GRAM_DROP = 1e-14
 RULE_ORDER = 10  # Gauss-Legendre order of the cell rule behind the model's tables
+SYMBOL_GRID = 64  # frequencies per axis at which gram_symbol_range samples the symbol
 
 
 class SolverError(RuntimeError):
@@ -97,13 +97,6 @@ class CoefficientField:
             return 0.0
         return float(self.values[idx])
 
-    def as_dict(self) -> dict[tuple[int, ...], float]:
-        out = {}
-        for idx in np.ndindex(self.values.shape):
-            key = tuple(i + lo for i, lo in zip(idx, self.window_lo))
-            out[key] = float(self.values[idx])
-        return out
-
 
 @dataclass
 class SplineSpaceModel:
@@ -149,11 +142,9 @@ class SplineSpaceModel:
         strides = np.array([int(np.prod(dims[j + 1:])) for j in range(len(dims))])
         offsets, diag = np.unique(-np.array(list(self.gram)) @ strides, return_inverse=True)
         data = np.zeros((len(offsets), n))
-        axes = [np.arange(k) for k in dims]
         for i, (gamma, a) in enumerate(self.gram.items()):
-            inside = functools.reduce(np.logical_and.outer, [
-                (ax + g >= 0) & (ax + g < k) for ax, g, k in zip(axes, gamma, dims)])
-            np.copyto(data[diag[i]], a, where=inside.ravel())
+            data[diag[i]].reshape(self.window_shape)[tuple(
+                slice(max(0, -g), max(0, k - g)) for g, k in zip(gamma, dims))] = a
         A = sp.dia_matrix((data, offsets), shape=(n, n)).tocsr()
         A.sort_indices()
         return A
@@ -335,6 +326,12 @@ def spline_values(model: SplineSpaceModel, coeffs: CoefficientField, x) -> np.nd
     return float(out[0]) if single else out
 
 
+def _check_exponent(p: float) -> None:
+    """Raise ValueError unless the norm exponent p is finite and at least 1."""
+    if not (np.isfinite(p) and p >= 1.0):
+        raise ValueError(f"norm exponent p must be finite and at least 1, got {p}")
+
+
 def error_norm(f, model: SplineSpaceModel, coeffs: CoefficientField, p: float,
                domain=None, order: int = RULE_ORDER) -> tuple[float, float]:
     """Lp norm (and its p-th power) of f minus its projection over a box.
@@ -350,8 +347,7 @@ def error_norm(f, model: SplineSpaceModel, coeffs: CoefficientField, p: float,
     evaluated per node.  An exponent p below 1 or not finite raises
     ValueError.
     """
-    if not (np.isfinite(p) and p >= 1.0):
-        raise ValueError(f"norm exponent p must be finite and at least 1, got {p}")
+    _check_exponent(p)
     fv = _value_fn(f)
     h, d = model.h, model.V.dimension
     if domain is None:
@@ -404,8 +400,9 @@ def residual_orthogonality(f, model: SplineSpaceModel, coeffs: CoefficientField,
     return worst
 
 
-def gram_symbol_range(V, grid: int = 64) -> tuple[float, float]:
-    """Min and max of the Gram symbol sum_gamma a(gamma) cos(2 pi gamma.w).
+def gram_symbol_range(V) -> tuple[float, float]:
+    """Min and max of the Gram symbol sum_gamma a(gamma) cos(2 pi gamma.w),
+    over SYMBOL_GRID points per axis of the unit cell of frequencies w.
 
     A positive minimum certifies the shifts form a Riesz basis, hence the
     normal equations are uniformly well posed.
@@ -413,7 +410,7 @@ def gram_symbol_range(V, grid: int = 64) -> tuple[float, float]:
     V = _coerce(V)
     table = autocorrelation_table(V)
     d = V.dimension
-    w = quadrature.product_grid([np.linspace(0.0, 1.0, grid, endpoint=False)] * d)
+    w = quadrature.product_grid([np.linspace(0.0, 1.0, SYMBOL_GRID, endpoint=False)] * d)
     sym = np.zeros(len(w))
     for gamma, a in table.items():
         sym += a * np.cos(2.0 * np.pi * (w @ np.array(gamma, dtype=float)))

@@ -153,6 +153,21 @@ class TestGramRoute:
         assert error_constant_l2(f, SET_3D, outer_order=4) > 0
 
 
+BAD_EXPONENTS = [0.0, 0.5, -1.0, np.inf, np.nan]
+
+
+class TestExponentValidation:
+    @pytest.mark.parametrize("p", BAD_EXPONENTS)
+    def test_error_constant_rejects(self, p):
+        with pytest.raises(ValueError, match="exponent"):
+            error_constant(gaussian(1, 1.0), preset("bspline(2)"), p)
+
+    @pytest.mark.parametrize("p", BAD_EXPONENTS)
+    def test_norm_equivalence_constants_rejects(self, p):
+        with pytest.raises(ValueError, match="exponent"):
+            norm_equivalence_constants(preset("courant"), p, samples=10)
+
+
 class TestNormEquivalence:
     def test_sandwich_p2_is_tight(self):
         lo, hi = norm_equivalence_constants(preset("bspline(2)"), 2.0)

@@ -167,6 +167,11 @@ class TestConstant:
                      if ln.startswith("two_route_rel_diff")][0].split("=")[1])
         assert rel < 1e-8
 
+    def test_exponent_below_one_rejected(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, "preset = bspline(2)\nfunction = gaussian\np = 0\n")
+        assert main(["constant", "--config", path]) == 2
+        assert "error: norm exponent p must be finite and at least 1" in capsys.readouterr().err
+
 
 class TestConverge:
     def test_small_ladder_passes(self, tmp_path, capsys):

@@ -14,6 +14,7 @@ import pytest
 import sympy
 
 from boxproj import (
+    BoxSplineEvaluator,
     DirectionSet,
     MultiIndex,
     NonUnimodularError,
@@ -76,6 +77,82 @@ class TestIntegerLinearAlgebra:
             k = int(rng.integers(1, 5))
             m = rng.integers(-4, 5, size=(k, k))
             assert integer_det(m.tolist()) == round(np.linalg.det(m.astype(float)))
+
+    def test_rank_and_det_match_sympy(self):
+        # every shape from 0 x 1 to 5 x 5; a third of the matrices with two
+        # or more rows get one row replaced by the sum of two others
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            rows, cols = int(rng.integers(0, 6)), int(rng.integers(1, 6))
+            m = rng.integers(-4, 5, size=(rows, cols))
+            if rows >= 2 and rng.random() < 1 / 3:
+                i = int(rng.integers(rows))
+                j, k = rng.choice([r for r in range(rows) if r != i], size=2)
+                m[i] = m[j] + m[k]
+            ref = sympy.Matrix(rows, cols, m.ravel().tolist())
+            assert integer_rank(m.tolist()) == ref.rank(), m
+            if rows == cols:
+                assert integer_det(m.tolist()) == ref.det(), m
+
+
+def random_direction_sets(seed, count):
+    """Seeded spanning direction sets in dimensions 2 and 3, entries in
+    -1..1 for most of them so that many are unimodular."""
+    rng = np.random.default_rng(seed)
+    found = []
+    while len(found) < count:
+        d = int(rng.integers(2, 4))
+        width = 1 if rng.random() < 0.7 else 2
+        vecs = [tuple(int(x) for x in rng.integers(-width, width + 1, size=d))
+                for _ in range(int(rng.integers(d, d + 4)))]
+        if any(all(x == 0 for x in v) for v in vecs) or \
+                np.linalg.matrix_rank(np.array(vecs, dtype=float)) < d:
+            continue
+        found.append(DirectionSet(vecs))
+    return found
+
+
+def normalized_nullspace(rows, d):
+    """The sympy nullspace of rows (vectors in R^d) as a primitive integer
+    vector with first nonzero entry positive, or None unless it is a line."""
+    null = sympy.Matrix(len(rows), d, [x for r in rows for x in r]).nullspace()
+    if len(null) != 1:
+        return None
+    vec = list(null[0])
+    scale = math.lcm(*(int(sympy.fraction(x)[1]) for x in vec))
+    ints = [int(x * scale) for x in vec]
+    g = math.gcd(*ints)
+    sign = 1 if next(x for x in ints if x) > 0 else -1
+    return tuple(sign * x // g for x in ints)
+
+
+class TestNormalsAgainstSympy:
+    SETS = random_direction_sets(12, 200)
+
+    @staticmethod
+    def assert_primitive_oriented(normal):
+        assert math.gcd(*normal) == 1, normal
+        assert next(a for a in normal if a != 0) > 0, normal
+
+    def test_knot_normals(self):
+        for V in self.SETS:
+            spline = BoxSplineEvaluator(V)
+            d = V.dimension
+            want = {normalized_nullspace(rows, d)
+                    for rows in itertools.combinations(spline.distinct, d - 1)}
+            want.discard(None)
+            assert set(spline.cut_normals) == want, V
+            for normal in spline.cut_normals:
+                self.assert_primitive_oriented(normal)
+
+    def test_class_normals(self):
+        unimodular = [V for V in self.SETS if V.is_unimodular]
+        assert len(unimodular) >= 50
+        for V in unimodular:
+            for cls in hyperplane_classes(V):
+                self.assert_primitive_oriented(cls.alpha)
+                rest = [v for i, v in enumerate(V) if i not in cls.member_indices]
+                assert normalized_nullspace(rest, V.dimension) == cls.alpha, V
 
 
 class TestDirectionSet:
