@@ -46,13 +46,11 @@ from .bernoulli import (
     bernoulli_periodic,
     error_expansion,
     monomial_error_series,
-    spline_term,
 )
 from .projection import (
     CoefficientField,
     SolverError,
     SplineSpaceModel,
-    autocorrelation,
     autocorrelation_table,
     build_model,
     error_norm,

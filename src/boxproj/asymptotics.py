@@ -10,13 +10,13 @@ side by projecting along a ladder of meshes.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import UnsupportedDimensionError, _coerce, hyperplane_classes, multi_indices, product_derivative
-from .bernoulli import bernoulli_interior_roots, bernoulli_l2_norm_sq, ridge_lp_power, spline_term
+from .lattice import UnsupportedDimensionError, _coerce, multi_indices, product_derivative
+from .bernoulli import (BernoulliSplineTerm, bernoulli_interior_roots, bernoulli_l2_norm_sq,
+                        ridge_lp_power)
 from .projection import RULE_ORDER, _check_exponent, build_model, error_norm, project
 from . import quadrature
 
@@ -26,40 +26,22 @@ OUTER_ORDER = 12  # Gauss order of the outer rule over the support of f
 SAMPLE_SEED = 7  # seed of the coefficient directions of norm_equivalence_constants
 
 
-def directional_derivative(f, vectors, t, route: str = "expansion"):
+def directional_derivative(f, vectors, t):
     """Iterated directional derivative prod_v (v . grad) applied to f at t.
 
-    route='expansion' sums product_derivative(beta, vectors)/beta! times
-    D^beta f over |beta| = len(vectors); route='nested' expands the
-    product over one coordinate choice per factor.  The two agree by the
-    multinomial theorem and serve as mutual checks.
+    Sums product_derivative(beta, vectors)/beta! times D^beta f over
+    |beta| = len(vectors), the multinomial expansion of the product.
     """
     vecs = [tuple(int(x) for x in v) for v in vectors]
-    m = len(vecs)
-    d = len(vecs[0])
     t = np.asarray(t, dtype=float)
     single = t.ndim == 1
     pts = np.atleast_2d(t)
     out = np.zeros(len(pts))
-    if route == "expansion":
-        for beta in multi_indices(d, m):
-            coef = product_derivative(beta, vecs)
-            if coef == 0:
-                continue
-            out = out + (coef / beta.factorial) * np.asarray(f.derivative(beta, pts))
-    elif route == "nested":
-        for picks in itertools.product(range(d), repeat=m):
-            coef = 1
-            for i, axis in enumerate(picks):
-                coef *= vecs[i][axis]
-            if coef == 0:
-                continue
-            exps = [0] * d
-            for axis in picks:
-                exps[axis] += 1
-            out = out + coef * np.asarray(f.derivative(tuple(exps), pts))
-    else:
-        raise ValueError(f"unknown route {route!r}")
+    for beta in multi_indices(len(vecs[0]), len(vecs)):
+        coef = product_derivative(beta, vecs)
+        if coef == 0:
+            continue
+        out = out + (coef / beta.factorial) * np.asarray(f.derivative(beta, pts))
     return float(out[0]) if single else out
 
 
@@ -81,26 +63,26 @@ def sobolev_product_norm(f, vectors, p: float = 2.0, order: int = 12) -> float:
     return float(np.dot(wts, np.abs(vals) ** p))
 
 
-def _ridge_cell_table(V, order: int):
+def _ridge_cell_table(V):
     """The ridge terms of V and their values on one lattice cell.
 
     Returns (terms, B, weights): B[x, U] is term U at node x of the unit
-    cell rule, which is cut along every class line and every Bernoulli-root
-    line so that products of terms are integrated exactly.  Cuts exist
-    only in dimensions 1 and 2.
+    cell rule of order INNER_ORDER, which is cut along every class line
+    and every Bernoulli-root line so that products of terms are integrated
+    exactly.  Cuts exist only in dimensions 1 and 2.
     """
     d = V.dimension
     if d > 2:
         raise UnsupportedDimensionError(
             f"ridge-term cell quadrature needs dimension 1 or 2, not {d}"
         )
-    terms = [spline_term(V, cls) for cls in hyperplane_classes(V)]
+    terms = [BernoulliSplineTerm(cls) for cls in V.classes]
     roots = bernoulli_interior_roots(V.margin + 1)
     cuts = [
         quadrature.CutFamily(tuple(float(a) for a in t.hyperplane.alpha), 1.0, (0.0,) + roots)
         for t in terms
     ]
-    pts, wts = quadrature.cell_rule([0.0] * d, [1.0] * d, cuts, order)
+    pts, wts = quadrature.cell_rule([0.0] * d, [1.0] * d, cuts, INNER_ORDER)
     B = np.stack([t.evaluate(pts) for t in terms], axis=-1)
     return terms, B, wts
 
@@ -126,7 +108,7 @@ def error_constant(f, V, p: float) -> float:
     """
     _check_exponent(p)
     V = _coerce(V)
-    terms, B, xwts = _ridge_cell_table(V, INNER_ORDER)
+    terms, B, xwts = _ridge_cell_table(V)
     tpts, twts = _outer_rule(f, OUTER_ORDER)
     D = np.stack(
         [directional_derivative(f, t.hyperplane.members, tpts) for t in terms], axis=-1
@@ -153,7 +135,7 @@ def error_constant_l2(f, V, outer_order: int = OUTER_ORDER) -> float:
     deg = V.margin + 1
     period_norm = float(bernoulli_l2_norm_sq(deg))
     total = 0.0
-    for cls in hyperplane_classes(V):
+    for cls in V.classes:
         weight = period_norm * float(cls.scale) ** 2
         total += weight * sobolev_product_norm(f, cls.members, p=2.0, order=outer_order)
     return float(total)
@@ -192,7 +174,7 @@ def norm_equivalence_constants(V, p: float, samples: int = 4000) -> tuple[float,
     """
     _check_exponent(p)
     V = _coerce(V)
-    terms, B, wts = _ridge_cell_table(V, INNER_ORDER)
+    terms, B, wts = _ridge_cell_table(V)
     powers = np.array([ridge_lp_power(t, p, INNER_ORDER) for t in terms])
     rng = np.random.default_rng(SAMPLE_SEED)
     A = rng.normal(size=(samples, len(terms)))
@@ -226,12 +208,14 @@ def convergence_sweep(f, V, p: float, ladder, padding: int | None = None,
 
     The fitted rate is the log-log slope of the error norms over the last
     few rungs; the ratio sequence norms^p / h^(p k) is extrapolated to
-    h = 0 assuming a first-order correction term.
+    h = 0 assuming a first-order correction term.  A ladder with fewer
+    than two mesh sizes, or one that repeats a mesh size, raises
+    ValueError.
     """
     V = _coerce(V)
     ladder = tuple(sorted((float(h) for h in ladder), reverse=True))
-    if not ladder:
-        raise ValueError("ladder must contain at least one mesh size")
+    if len(ladder) < 2 or len(set(ladder)) < len(ladder):
+        raise ValueError(f"ladder needs at least two mesh sizes, all distinct, got {ladder}")
     k = V.margin + 1
     norms, ratios = [], []
     for h in ladder:

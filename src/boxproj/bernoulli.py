@@ -16,13 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import (
-    HyperplaneClass,
-    MultiIndex,
-    _coerce,
-    hyperplane_classes,
-    product_derivative,
-)
+from .lattice import HyperplaneClass, MultiIndex, _coerce, product_derivative
 from .boxspline import transform_derivatives
 
 TWO_PI_I = 2j * np.pi
@@ -129,7 +123,11 @@ class BernoulliSplineTerm:
     """
 
     hyperplane: HyperplaneClass
-    degree: int
+
+    @property
+    def degree(self) -> int:
+        """The class size, margin + 1 for every class of a direction set."""
+        return self.hyperplane.degree
 
     @property
     def scale(self) -> Fraction:
@@ -155,11 +153,6 @@ class BernoulliSplineTerm:
             acc += coef * phase + np.conj(coef * phase)
         acc *= float(self.scale)
         return acc[0] if single else acc
-
-
-def spline_term(V, hyperplane: HyperplaneClass) -> BernoulliSplineTerm:
-    V = _coerce(V)
-    return BernoulliSplineTerm(hyperplane=hyperplane, degree=V.margin + 1)
 
 
 def periodic_lp_power(k: int, p: float, order: int = 16) -> float:
@@ -193,7 +186,6 @@ class ErrorFunctionExpansion:
     """Projection error of a monomial as a finite sum of ridge terms."""
 
     beta: MultiIndex
-    degree: int
     terms: tuple[tuple[BernoulliSplineTerm, int], ...]
 
     def evaluate(self, x):
@@ -222,13 +214,13 @@ def error_expansion(V, beta) -> ErrorFunctionExpansion:
     if beta.order > k:
         raise ValueError("expansion defined for |beta| <= margin + 1 only")
     if beta.order < k:
-        return ErrorFunctionExpansion(beta=beta, degree=k, terms=())
+        return ErrorFunctionExpansion(beta=beta, terms=())
     terms = []
-    for cls in hyperplane_classes(V):
+    for cls in V.classes:
         coef = product_derivative(beta, cls.members)
         if coef != 0:
-            terms.append((spline_term(V, cls), coef))
-    return ErrorFunctionExpansion(beta=beta, degree=k, terms=tuple(terms))
+            terms.append((BernoulliSplineTerm(cls), coef))
+    return ErrorFunctionExpansion(beta=beta, terms=tuple(terms))
 
 
 def monomial_error_series(V, beta, x, radius: int, mode: str = "auto"):
@@ -266,7 +258,7 @@ def monomial_error_series(V, beta, x, radius: int, mode: str = "auto"):
         if beta.order > V.margin + 1:
             raise ValueError("lines mode applies up to the critical order only")
         lines = []
-        for cls in hyperplane_classes(V):
+        for cls in V.classes:
             ks = np.arange(1, radius // max(abs(a) for a in cls.alpha) + 1)
             signed = np.stack([ks, -ks], axis=1).ravel()
             lines.append(signed[:, None] * np.array(cls.alpha))

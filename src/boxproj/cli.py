@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .lattice import DirectionSet, MultiIndex, NonUnimodularError, hyperplane_classes, multi_indices, product_derivative
+from .lattice import DirectionSet, MultiIndex, NonUnimodularError, multi_indices, product_derivative
 from .bernoulli import error_expansion, monomial_error_series
 from .projection import RULE_ORDER, SolverError, build_model, error_norm, project
 from .asymptotics import convergence_sweep, error_constant, error_constant_l2
@@ -195,7 +195,7 @@ def cmd_analyze(cfg: ExperimentConfig, args) -> int:
         lines.append("error = not unimodular: hyperplane-class expansion rejected")
         _emit(args.out, "\n".join(lines) + "\n")
         return 2
-    classes = hyperplane_classes(V)
+    classes = V.classes
     lines.append(f"classes = {len(classes)}")
     for i, cls in enumerate(classes):
         lines.append(

@@ -214,6 +214,12 @@ class DirectionSet:
     def is_unimodular(self) -> bool:
         return is_unimodular(self)
 
+    @cached_property
+    def classes(self) -> tuple["HyperplaneClass", ...]:
+        """`hyperplane_classes` of this set; raises NonUnimodularError on
+        every access when the set is not unimodular."""
+        return hyperplane_classes(self)
+
 
 def _coerce(V) -> DirectionSet:
     return V if isinstance(V, DirectionSet) else DirectionSet(V)

@@ -10,7 +10,6 @@ lattice coordinates.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,31 +35,14 @@ def _value_fn(f):
     return f.value if hasattr(f, "value") else f
 
 
-def autocorrelation(V, offset, route: str = "quadrature") -> float:
-    """Inner product of the spline with its shift by an integer offset.
-
-    route='quadrature' reads the entry of `autocorrelation_table` (0.0 for
-    an offset with no entry); route='doubled' evaluates the box spline of
-    the doubled direction set V union -V at the offset, which equals the
-    same integral and is the independent route the checks compare with.
-    """
-    V = _coerce(V)
-    offset = tuple(int(g) for g in offset)
-    if route == "doubled":
-        doubled = DirectionSet(V.vectors + tuple(tuple(-x for x in v) for v in V.vectors))
-        return float(BoxSplineEvaluator(doubled)(np.array(offset, dtype=float)))
-    if route != "quadrature":
-        raise ValueError(f"unknown route {route!r}")
-    return autocorrelation_table(V).get(offset, 0.0)
-
-
 def autocorrelation_table(V) -> dict[tuple[int, ...], float]:
     """All nonzero shift autocorrelations a(gamma) = int B(x) B(x - gamma) dx,
     keyed by integer offset in lexicographic order.
 
     The contraction `_gram` of a freshly built `cell_spline_table` at
     RULE_ORDER; `build_model` applies the same contraction to the table
-    it keeps, so a model's `gram` equals this table exactly.
+    it keeps, so a model's `gram` equals this table exactly.  The checks
+    compare it with the doubled spline M_{V u -V}(gamma), the same integral.
     """
     return _gram(cell_spline_table(BoxSplineEvaluator(_coerce(V))))
 
@@ -181,8 +163,8 @@ def build_model(V, h: float, f=None, padding: int | None = None, box=None) -> Sp
     box of f (or the explicit `box`), inflated by `padding` cells; the
     default padding is three support diameters.  The spline is evaluated
     once, for the cell table, and the Gram table is contracted from it.
-    A mesh size that is not finite and positive, or a negative padding,
-    raises ValueError.
+    A mesh size that is not finite and positive, a negative padding, or a
+    box whose dimension is not that of V raises ValueError.
     """
     h = float(h)
     if not (np.isfinite(h) and h > 0.0):
@@ -195,8 +177,7 @@ def build_model(V, h: float, f=None, padding: int | None = None, box=None) -> Sp
         if f is None or f.effective_box() is None:
             raise ValueError("need f with an effective box, or an explicit box")
         box = f.effective_box()
-    blo = np.asarray(box[0], dtype=float)
-    bhi = np.asarray(box[1], dtype=float)
+    blo, bhi = _box_corners(box, V.dimension, "box")
     zlo, zhi = spline.support_lo, spline.support_hi
     if padding is None:
         padding = 3 * int(np.max(zhi - zlo))
@@ -298,32 +279,48 @@ def project(model: SplineSpaceModel, f) -> CoefficientField:
 
 
 def spline_values(model: SplineSpaceModel, coeffs: CoefficientField, x) -> np.ndarray:
-    """Evaluate sum_alpha c_alpha B(x/h - alpha) at the points x."""
+    """Evaluate sum_alpha c_alpha B(x/h - alpha) at the points x.
+
+    One spline evaluation per block of at most quadrature.SAMPLE_CHUNK
+    (point, support offset) pairs; points whose dimension is not the
+    model's raise ValueError.
+    """
     pts = np.asarray(x, dtype=float)
     single = pts.ndim == 1
     X = np.atleast_2d(pts) / model.h
     d = model.V.dimension
+    if X.shape[1] != d:
+        raise ValueError(f"points of dimension {X.shape[1]} for a model of dimension {d}")
     zlo = np.rint(model.evaluator.support_lo).astype(int)
     zhi = np.rint(model.evaluator.support_hi).astype(int)
-    base = np.floor(X).astype(int)
-    out = np.zeros(len(X))
+    deltas = quadrature.box_cells(1 - zhi, 1 - zlo)
     wlo = np.array(coeffs.window_lo)
-    dims = coeffs.values.shape
-    for delta in itertools.product(*[range(1 - hi_j, -lo_j + 1) for lo_j, hi_j in zip(zlo, zhi)]):
-        alpha = base + np.array(delta)
+    dims = np.array(coeffs.values.shape)
+    out = np.zeros(len(X))
+    step = max(1, quadrature.SAMPLE_CHUNK // len(deltas))
+    for start in range(0, len(X), step):
+        Xb = X[start:start + step]
+        alpha = np.floor(Xb).astype(int)[:, None, :] + deltas
         idx = alpha - wlo
-        ok = np.all((idx >= 0) & (idx < np.array(dims)), axis=1)
-        if not ok.any():
-            continue
-        cvals = np.zeros(len(X))
-        cvals[ok] = coeffs.values[tuple(idx[ok].T)]
-        live = cvals != 0.0
-        if not live.any():
-            continue
-        bv = np.zeros(len(X))
-        bv[live] = model.evaluator(X[live] - alpha[live])
-        out += cvals * bv
+        ok = np.all((idx >= 0) & (idx < dims), axis=2)
+        c = np.zeros(ok.shape)
+        c[ok] = coeffs.values[tuple(idx[ok].T)]
+        live = c != 0.0
+        B = np.zeros(ok.shape)
+        B[live] = model.evaluator((Xb[:, None, :] - alpha)[live])
+        acc = out[start:start + step]
+        for j in range(len(deltas)):
+            acc += c[:, j] * B[:, j]
     return float(out[0]) if single else out
+
+
+def _box_corners(box, dim: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The corners of a box as float arrays; ValueError unless both have
+    `dim` coordinates."""
+    lo, hi = (np.atleast_1d(np.asarray(c, dtype=float)) for c in box)
+    if lo.shape != (dim,) or hi.shape != (dim,):
+        raise ValueError(f"{what} corners of shapes {lo.shape}, {hi.shape} in dimension {dim}")
+    return lo, hi
 
 
 def _check_exponent(p: float) -> None:
@@ -344,8 +341,8 @@ def error_norm(f, model: SplineSpaceModel, coeffs: CoefficientField, p: float,
     table when `order` is RULE_ORDER, else one built for this call at
     `order` (at p != 2 the integrand is not piecewise polynomial, so a
     higher order shrinks the rule's error); the box spline is never
-    evaluated per node.  An exponent p below 1 or not finite raises
-    ValueError.
+    evaluated per node.  An exponent p below 1 or not finite, or a domain
+    whose dimension is not the model's, raises ValueError.
     """
     _check_exponent(p)
     fv = _value_fn(f)
@@ -355,8 +352,9 @@ def error_norm(f, model: SplineSpaceModel, coeffs: CoefficientField, p: float,
         if box is None:
             raise ValueError("need an explicit domain for non-decaying f")
         domain = box
-    mlo = np.floor(np.asarray(domain[0], dtype=float) / h).astype(int)
-    mhi = np.ceil(np.asarray(domain[1], dtype=float) / h).astype(int)
+    dlo, dhi = _box_corners(domain, d, "domain")
+    mlo = np.floor(dlo / h).astype(int)
+    mhi = np.ceil(dhi / h).astype(int)
     if order == RULE_ORDER:
         nodes, weights, offsets, table = model.cell_table
     else:

@@ -23,18 +23,17 @@ from boxproj import (
     spline_values,
 )
 from boxproj.bernoulli import (
+    BernoulliSplineTerm,
     bernoulli_l2_norm_sq,
     bernoulli_l2_norm_sq_series,
     bernoulli_periodic,
     error_expansion,
-    hyperplane_classes,
     monomial_error_series,
     periodic_lp_power,
     ridge_lp_power,
-    spline_term,
 )
 from boxproj.boxspline import integral_identity_check, transform_derivative
-from boxproj.lattice import multi_indices, nonorthogonal_directions
+from boxproj.lattice import hyperplane_classes, multi_indices, nonorthogonal_directions
 from boxproj.quadrature import CutFamily, integrate, sample_grid
 from boxproj.testfunctions import bump, gaussian, monomial
 
@@ -163,7 +162,7 @@ def test_criterion_05_polynomial_reproduction():
 
 def test_criterion_06_ridge_orthogonality_and_norm_factorization():
     V = preset("courant")
-    terms = [spline_term(V, cls) for cls in hyperplane_classes(V)]
+    terms = [BernoulliSplineTerm(cls) for cls in hyperplane_classes(V)]
     worst_ip = 0.0
     for ti, tj in itertools.combinations(terms, 2):
         cuts = (CutFamily(tuple(float(a) for a in ti.hyperplane.alpha)),
@@ -202,7 +201,7 @@ def test_criterion_07_pointwise_expansion_vs_directional_sum():
             lhs += error_expansion(V, beta).evaluate(x) * dbeta / fact
         rhs = np.zeros(100)
         for cls in hyperplane_classes(V):
-            term = spline_term(V, cls)
+            term = BernoulliSplineTerm(cls)
             rhs += term.evaluate(x) * directional_derivative(f, cls.members, t)
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     assert worst <= 1e-9

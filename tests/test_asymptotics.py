@@ -18,7 +18,8 @@ from boxproj import (
 )
 from boxproj import quadrature
 from boxproj.asymptotics import _extrapolate, _outer_rule
-from boxproj.bernoulli import bernoulli_interior_roots, spline_term
+from boxproj.bernoulli import BernoulliSplineTerm, bernoulli_interior_roots
+from boxproj.checks import _nested_directional_derivative
 from boxproj.lattice import hyperplane_classes
 from boxproj.testfunctions import finite_difference, gaussian
 
@@ -37,8 +38,8 @@ class TestDirectionalDerivative:
         rng = np.random.default_rng(5)
         t = rng.uniform(-1, 1, size=(40, 2))
         vecs = [(1, 0), (1, 1)]
-        a = directional_derivative(f, vecs, t, route="expansion")
-        b = directional_derivative(f, vecs, t, route="nested")
+        a = directional_derivative(f, vecs, t)
+        b = _nested_directional_derivative(f, vecs, t)
         assert np.abs(a - b).max() < 1e-10
 
     def test_against_finite_differences(self):
@@ -101,7 +102,7 @@ def _direct_double_sum(f, V, p, chunk_rows=2048):
     ]
     d = V.dimension
     xpts, xwts = quadrature.cell_rule([0.0] * d, [1.0] * d, cuts, 16)
-    B = np.stack([spline_term(V, cls).evaluate(xpts) for cls in classes], axis=-1)
+    B = np.stack([BernoulliSplineTerm(cls).evaluate(xpts) for cls in classes], axis=-1)
     tpts, twts = _outer_rule(f, 12)
     D = np.stack(
         [directional_derivative(f, cls.members, tpts) for cls in classes], axis=-1
@@ -217,6 +218,11 @@ class TestConvergenceSweep:
                                 [1 / 8, 1 / 16], constant=1.0)
         assert rep.constant == 1.0
         assert rep.rel_error == abs(rep.extrapolated_ratio - 1.0)
+
+    @pytest.mark.parametrize("ladder", [[1 / 4, 1 / 4], [1 / 4], [1 / 2, 1 / 4, 1 / 4]])
+    def test_ladder_needs_two_distinct_mesh_sizes(self, ladder):
+        with pytest.raises(ValueError, match="at least two mesh sizes, all distinct"):
+            convergence_sweep(gaussian(1, 1.0), preset("haar"), 2.0, ladder)
 
     def test_empty_ladder_rejected(self):
         with pytest.raises(ValueError):

@@ -29,7 +29,6 @@ from boxproj.bernoulli import (
     bernoulli_poly_coeffs,
     periodic_lp_power,
     ridge_lp_power,
-    spline_term,
 )
 from boxproj.quadrature import sample_grid
 
@@ -129,7 +128,7 @@ class TestLpPowers:
         # unit-cell integral of a composed ridge equals the 1-D integral
         V = preset("courant")
         for cls in hyperplane_classes(V):
-            term = spline_term(V, cls)
+            term = BernoulliSplineTerm(cls)
             for p in (1.0, 2.0, 3.0):
                 a = ridge_lp_power(term, p)
                 b = abs(float(cls.scale)) ** p * periodic_lp_power(2, p)
@@ -276,7 +275,7 @@ class TestSplineTermSeries:
         classes = hyperplane_classes(V)
         x = sample_grid(2, 4)
         for cls in classes:
-            term = spline_term(V, cls)
+            term = BernoulliSplineTerm(cls)
             direct = term.evaluate(x)
             series = term.series(x, 400)
             assert np.abs(direct - np.real(series)).max() < 5e-7

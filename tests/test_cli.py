@@ -147,6 +147,12 @@ class TestProject:
         assert "error: " in captured.err and word in captured.err
         assert "error_norm" not in captured.out
 
+    def test_box_of_other_dimension_exits_2(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, "preset = bspline(2)\nh = 1/2\n"
+                                   "box = [[0, 0], [1, 1]]\n")
+        assert main(["project", "--config", path]) == 2
+        assert "error: box corners of shapes (2,), (2,) in dimension 1" in capsys.readouterr().err
+
     def test_solver_error_is_reported(self, tmp_path, capsys, monkeypatch):
         def fail(model, f):
             raise SolverError("relative residual 1.000e-03 above 1e-12")
@@ -188,6 +194,13 @@ class TestConverge:
                                    "p = 2\nladder = []\n")
         assert main(["converge", "--config", path]) == 2
         assert "ladder" in capsys.readouterr().err
+
+
+    def test_repeated_mesh_size_exits_2(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, "preset = haar\nfunction = gaussian\n"
+                                   "p = 2\nladder = [1/4, 1/4]\n")
+        assert main(["converge", "--config", path]) == 2
+        assert "error: ladder needs at least two mesh sizes, all distinct" in capsys.readouterr().err
 
 
 class TestCheck:

@@ -11,7 +11,6 @@ from boxproj import (
     BoxSplineEvaluator,
     DirectionSet,
     SolverError,
-    autocorrelation,
     autocorrelation_table,
     build_model,
     error_norm,
@@ -22,6 +21,7 @@ from boxproj import (
     spline_values,
 )
 from boxproj import quadrature
+from boxproj.checks import _doubled_autocorrelation
 from boxproj.projection import _right_hand_sides, cell_spline_table
 from boxproj.testfunctions import gaussian, monomial
 
@@ -30,11 +30,11 @@ THREE_D = DirectionSet(((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)))
 
 class TestAutocorrelation:
     def test_hat_exact_values(self):
-        V = preset("bspline(2)")
-        assert abs(autocorrelation(V, (0,)) - 2 / 3) < 1e-12
-        assert abs(autocorrelation(V, (1,)) - 1 / 6) < 1e-12
-        assert abs(autocorrelation(V, (-1,)) - 1 / 6) < 1e-12
-        assert abs(autocorrelation(V, (2,))) < 1e-14
+        table = autocorrelation_table(preset("bspline(2)"))
+        assert abs(table.get((0,), 0.0) - 2 / 3) < 1e-12
+        assert abs(table.get((1,), 0.0) - 1 / 6) < 1e-12
+        assert abs(table.get((-1,), 0.0) - 1 / 6) < 1e-12
+        assert abs(table.get((2,), 0.0)) < 1e-14
 
     def test_haar_is_orthonormal(self):
         table = autocorrelation_table(preset("haar"))
@@ -45,7 +45,7 @@ class TestAutocorrelation:
         for name in ("bspline(3)", "courant", "zp"):
             V = preset(name)
             for gamma, val in autocorrelation_table(V).items():
-                assert abs(val - autocorrelation(V, gamma, route="doubled")) < 1e-8
+                assert abs(val - _doubled_autocorrelation(V, gamma)) < 1e-8
 
     @pytest.mark.parametrize("name", ["haar", "bspline(2)", "bspline(3)", "tensor(1,1)",
                                       "tensor(2,2)", "courant", "courant2", "zp", "3d"])
@@ -274,6 +274,40 @@ class TestProjection:
         with pytest.raises(SolverError, match="non-finite right-hand side"):
             project(m, lambda X: np.full(len(X), np.nan))
 
+    def test_box_of_other_dimension_rejected(self):
+        with pytest.raises(ValueError, match="dimension 1"):
+            build_model(preset("bspline(2)"), 0.5, box=(np.zeros(2), np.ones(2)))
+
+    def test_spline_values_points_of_other_dimension_rejected(self):
+        g = gaussian(1, 1.0)
+        m = build_model(preset("bspline(2)"), 0.5, g)
+        c = project(m, g)
+        with pytest.raises(ValueError, match="dimension 2"):
+            spline_values(m, c, np.zeros((3, 2)))
+
+    def test_spline_values_one_evaluation_per_block(self, monkeypatch):
+        # 16 support offsets on courant2: 49 points are 784 (point, offset)
+        # pairs, one block; a chunk of 160 pairs makes blocks of 10 points
+        V = preset("courant2")
+        g = gaussian(2, 1.0)
+        m = build_model(V, 0.25, g)
+        c = project(m, g)
+        X = np.random.default_rng(4).uniform(-2.0, 2.0, size=(49, 2))
+        calls = []
+        call = BoxSplineEvaluator.__call__
+        monkeypatch.setattr(BoxSplineEvaluator, "__call__",
+                            lambda self, pts: calls.append(len(pts)) or call(self, pts))
+        whole = spline_values(m, c, X)
+        assert len(calls) == 1
+        monkeypatch.setattr(quadrature, "SAMPLE_CHUNK", 160)
+        calls.clear()
+        blocked = spline_values(m, c, X)
+        assert len(calls) == 5
+        assert np.array_equal(whole, blocked)
+        ref = sum(c.value_at(a) * m.evaluator(X / m.h - a)
+                  for a in itertools.product(range(-12, 13), repeat=2))
+        assert np.abs(whole - ref).max() < 1e-14
+
     def test_spline_values_outside_support_zero(self):
         V = preset("bspline(2)")
         g = gaussian(1, 1.0)
@@ -292,6 +326,13 @@ class TestErrorNorm:
         full, _ = error_norm(g, m, c, 2.0)
         half, _ = error_norm(g, m, c, 2.0, domain=(np.array([-2.0]), np.array([2.0])))
         assert half <= full + 1e-15
+
+    def test_domain_of_other_dimension_rejected(self):
+        g = gaussian(1, 1.0)
+        m = build_model(preset("bspline(2)"), 0.5, g)
+        c = project(m, g)
+        with pytest.raises(ValueError, match="dimension 1"):
+            error_norm(g, m, c, 2.0, domain=(np.zeros(2), np.ones(2)))
 
     @pytest.mark.parametrize("p", [0.0, 0.5, -1.0, np.inf, np.nan])
     def test_exponent_below_one_or_not_finite_rejected(self, p):
