@@ -189,13 +189,12 @@ class ErrorFunctionExpansion:
     terms: tuple[tuple[BernoulliSplineTerm, int], ...]
 
     def evaluate(self, x):
+        """Values at the (n, d) points x, or a float at a single point."""
         x = np.asarray(x, dtype=float)
-        out = 0.0
+        out = 0.0 if x.ndim == 1 else np.zeros(x.shape[:-1])
         for term, coef in self.terms:
             out = out + coef * term.evaluate(x)
-        if np.ndim(out) == 0:
-            return float(out)
-        return out
+        return float(out) if x.ndim == 1 else out
 
 
 def error_expansion(V, beta) -> ErrorFunctionExpansion:

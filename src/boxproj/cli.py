@@ -225,11 +225,8 @@ def cmd_lbeta(cfg: ExperimentConfig, args) -> int:
     count = int(cfg.number("grid", 17))
     mode = str(cfg.get("series_mode", "auto"))
     pts = quadrature.sample_grid(V.dimension, count)
-    closed = np.broadcast_to(
-        np.atleast_1d(error_expansion(V, beta).evaluate(pts)), (len(pts),))
-    series = np.broadcast_to(
-        np.atleast_1d(monomial_error_series(V, beta, pts, radius, mode=mode).real),
-        (len(pts),))
+    closed = error_expansion(V, beta).evaluate(pts)
+    series = monomial_error_series(V, beta, pts, radius, mode=mode).real
     rows = []
     for i in range(len(pts)):
         rows.append(list(pts[i]) + [closed[i], series[i], abs(closed[i] - series[i])])

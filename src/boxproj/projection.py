@@ -150,8 +150,7 @@ def cell_spline_table(spline: BoxSplineEvaluator, order: int = RULE_ORDER):
     zlo = np.rint(spline.support_lo).astype(int)
     zhi = np.rint(spline.support_hi).astype(int)
     cells = quadrature.box_cells(zlo, zhi)
-    pts, _ = quadrature.tile_rule(nodes, weights, cells)
-    table = spline(pts).reshape(len(cells), len(nodes))
+    table = spline(quadrature.tile_points(nodes, cells)).reshape(len(cells), len(nodes))
     live = np.any(table != 0.0, axis=1)
     return nodes, weights, -cells[live], table[live]
 
@@ -199,17 +198,17 @@ def build_model(V, h: float, f=None, padding: int | None = None, box=None) -> Sp
     )
 
 
-def _cell_samples(fv, h: float, cells: np.ndarray, nodes: np.ndarray, weights: np.ndarray):
+def _cell_samples(fv, h: float, cells: np.ndarray, nodes: np.ndarray):
     """f at the nodes h (m + y_l) of the integer cells m, in batches of
     about quadrature.SAMPLE_CHUNK nodes.  Yields (start, values) with
     values[i, l] = f(h (cells[start + i] + nodes[l])).  Each batch of
-    points is the `quadrature.tile_rule` of the cell rule (nodes,
-    weights) scaled by h in place: f receives an (n, d) float view of a
-    (d, n) block, with contiguous columns, and must not assume C order."""
+    points is the `quadrature.tile_points` of the cell rule's nodes
+    scaled by h in place: f receives an (n, d) float view of a (d, n)
+    block, with contiguous columns, and must not assume C order."""
     step = max(1, quadrature.SAMPLE_CHUNK // len(nodes))
     for start in range(0, len(cells), step):
         m = cells[start:start + step]
-        pts, _ = quadrature.tile_rule(nodes, weights, m)
+        pts = quadrature.tile_points(nodes, m)
         pts *= h
         yield start, np.asarray(fv(pts), dtype=float).reshape(len(m), len(nodes))
 
@@ -232,7 +231,7 @@ def _right_hand_sides(model: SplineSpaceModel, fv) -> np.ndarray:
     cells = quadrature.box_cells(model.window_lo + lo, model.window_lo + lo + grown)
     stencil = (table * weights).T
     F = np.empty((len(cells), len(offsets)))
-    for start, vals in _cell_samples(fv, model.h, cells, nodes, weights):
+    for start, vals in _cell_samples(fv, model.h, cells, nodes):
         F[start:start + len(vals)] = vals @ stencil
     F = F.reshape(tuple(grown) + (len(offsets),))
     b = np.zeros(model.window_shape)
@@ -363,7 +362,7 @@ def error_norm(f, model: SplineSpaceModel, coeffs: CoefficientField, p: float,
     wlo = np.array(coeffs.window_lo)
     dims = np.array(coeffs.values.shape)
     power = 0.0
-    for start, fvals in _cell_samples(fv, h, cells, nodes, weights):
+    for start, fvals in _cell_samples(fv, h, cells, nodes):
         m = cells[start:start + len(fvals)]
         gathered = np.zeros((len(m), len(offsets)))
         for j, delta in enumerate(offsets):

@@ -198,8 +198,8 @@ def sample_grid(dim: int, count: int = 17):
     return product_grid(axes)
 
 
-def tile_rule(pts, wts, origins):
-    """Translate one cell rule to many cells; origins has shape (m, d).
+def tile_points(pts, origins):
+    """Translate one cell rule's points to many cells; origins has shape (m, d).
 
     The points come back as an (m n, d) float view of one C-contiguous
     (d, m n) block, filled one coordinate at a time: each column is one
@@ -211,7 +211,12 @@ def tile_rule(pts, wts, origins):
     block = np.empty((d, len(origins), len(pts)))
     for j in range(d):
         np.add.outer(origins[:, j], pts[:, j], out=block[j])
-    return block.reshape(d, -1).T, np.tile(wts, len(origins))
+    return block.reshape(d, -1).T
+
+
+def tile_rule(pts, wts, origins):
+    """`tile_points` with the weights repeated once per cell."""
+    return tile_points(pts, origins), np.tile(wts, len(origins))
 
 
 def integrate(f, lo, hi, *, cuts=(), order: int = 12, spacing=None):
@@ -222,7 +227,7 @@ def integrate(f, lo, hi, *, cuts=(), order: int = 12, spacing=None):
     assumes the cut pattern is cell-periodic.  f maps (m, d) arrays to
     (m,) values and may return complex; it is called on about
     SAMPLE_CHUNK nodes at a time.  With `spacing` those arrays are the
-    (m, d) float views of `tile_rule`, whose columns are contiguous; f
+    (m, d) float views of `tile_points`, whose columns are contiguous; f
     must not assume C order.
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))

@@ -5,6 +5,10 @@ partial D^beta factors into univariate derivatives.  The univariate
 derivative of each family satisfies a simple polynomial recurrence,
 which keeps arbitrary orders exact (up to floating point) without any
 symbolic machinery.
+
+Points arrive as (n, d) arrays.  On the sampling path they are the
+column-contiguous views of `quadrature.tile_points`, so every family reads
+them one coordinate at a time, pts[:, j], and never reduces across a row.
 """
 
 from __future__ import annotations
@@ -35,6 +39,12 @@ class TestFunction:
 
     def derivative(self, beta, x):
         raise NotImplementedError
+
+    def _index(self, beta) -> MultiIndex:
+        beta = MultiIndex.of(beta)
+        if len(beta) != self.dim:
+            raise ValueError(f"multi-index {beta.exponents} does not have dimension {self.dim}")
+        return beta
 
     def effective_box(self):
         """Box outside which |f| < 1e-14, or None for non-decaying families."""
@@ -75,12 +85,16 @@ class Gaussian(TestFunction):
         return poly
 
     def derivative(self, beta, x):
-        beta = MultiIndex.of(beta)
+        beta = self._index(beta)
         pts, single = _split_points(x, self.dim)
-        out = np.exp(-self._a * np.sum(pts ** 2, axis=1))
+        out = pts[:, 0] * pts[:, 0]
+        for j in range(1, self.dim):
+            out += pts[:, j] * pts[:, j]
+        out *= -self._a
+        np.exp(out, out=out)
         for j, bj in enumerate(beta):
             if bj:
-                out = out * P.polyval(pts[:, j], self._factor_poly(bj))
+                out *= P.polyval(pts[:, j], self._factor_poly(bj))
         return float(out[0]) if single else out
 
     def effective_box(self):
@@ -117,19 +131,23 @@ class Bump(TestFunction):
         return poly
 
     def derivative(self, beta, x):
-        beta = MultiIndex.of(beta)
+        beta = self._index(beta)
         pts, single = _split_points(x, self.dim)
-        t = pts / self.radius
-        inside = np.all(np.abs(t) < 1.0, axis=1)
+        t = [pts[:, j] / self.radius for j in range(self.dim)]
+        inside = np.abs(t[0]) < 1.0
+        for tj in t[1:]:
+            inside &= np.abs(tj) < 1.0
         out = np.zeros(len(pts))
         if inside.any():
-            ti = t[inside]
-            val = np.exp(np.sum(1.0 - 1.0 / (1.0 - ti ** 2), axis=1))
-            for j, bj in enumerate(beta):
+            ti = [tj[inside] for tj in t]
+            val = 1.0 - 1.0 / (1.0 - ti[0] * ti[0])
+            for tj in ti[1:]:
+                val += 1.0 - 1.0 / (1.0 - tj * tj)
+            np.exp(val, out=val)
+            for tj, bj in zip(ti, beta):
                 if bj:
-                    tj = ti[:, j]
                     num = P.polyval(tj, self._numerator_poly(bj))
-                    val = val * num / (1.0 - tj ** 2) ** (2 * bj) / self.radius ** bj
+                    val = val * num / (1.0 - tj * tj) ** (2 * bj) / self.radius ** bj
             out[inside] = val
         return float(out[0]) if single else out
 
@@ -150,15 +168,32 @@ class Monomial(TestFunction):
         super().__init__(len(self.exponents))
 
     def derivative(self, beta, x):
-        beta = MultiIndex.of(beta)
+        """(perm(e_j, b_j) x_j^(e_j - b_j)) multiplied over the axes j.
+
+        A factor of 1 is skipped, which is exact: a zero remaining
+        exponent costs nothing, where pow(x, 0) would call libm on every
+        point.  Exponent 1 is the column and 2 is x * x, both bitwise what
+        pow gives; 3 and up keep np.power.
+        """
+        beta = self._index(beta)
         pts, single = _split_points(x, self.dim)
-        out = np.ones(len(pts))
-        for j, (ej, bj) in enumerate(zip(self.exponents, beta)):
-            if bj > ej:
-                out = np.zeros(len(pts))
-                break
-            coef = math.perm(ej, bj)
-            out = out * coef * pts[:, j] ** (ej - bj)
+        if any(bj > ej for ej, bj in zip(self.exponents, beta)):
+            out = np.zeros(len(pts))
+        else:
+            out = None
+            for j, (ej, bj) in enumerate(zip(self.exponents, beta)):
+                coef = math.perm(ej, bj)
+                if coef != 1:
+                    out = np.full(len(pts), float(coef)) if out is None else out * coef
+                k, col = ej - bj, pts[:, j]
+                if k:
+                    power = col if k == 1 else col * col if k == 2 else np.power(col, k)
+                    if out is None:
+                        out = power.copy() if k == 1 else power
+                    else:
+                        out *= power
+            if out is None:
+                out = np.ones(len(pts))
         return float(out[0]) if single else out
 
     def rescale(self, factor: float) -> "Monomial":

@@ -147,6 +147,23 @@ class TestErrorExpansion:
         x = sample_grid(2, 4)
         assert np.abs(exp.evaluate(x)).max() == 0.0
 
+    @pytest.mark.parametrize("name, beta", [("courant", (1, 0)), ("bspline(3)", (1,))])
+    def test_empty_expansion_has_the_points_shape(self, name, beta):
+        V = preset(name)
+        exp = error_expansion(V, beta)
+        assert exp.terms == ()
+        many = exp.evaluate(np.zeros((5, V.dimension)))
+        assert isinstance(many, np.ndarray) and many.shape == (5,)
+        assert not many.any()
+        one = exp.evaluate(np.zeros(V.dimension))
+        assert type(one) is float and one == 0.0
+
+    def test_single_point_is_float(self):
+        exp = error_expansion(preset("courant"), (2, 0))
+        x = sample_grid(2, 3)
+        one = exp.evaluate(x[4])
+        assert type(one) is float and one == exp.evaluate(x)[4]
+
     def test_courant_frozen_point_values(self):
         # hand-computed: at (1/2, 1/2) the three ridge terms give
         # 1/24 + 1/12 + 1/24 = 1/6; along (1/4, y) the (1,0) ridge of

@@ -619,6 +619,21 @@ class TestSampleLayout:
             run(f)
             self._check(f.seen, nodes, reference)
 
+    def test_sampling_never_tiles_weights(self, monkeypatch):
+        calls = []
+        tile_rule = quadrature.tile_rule
+
+        def counted(*args):
+            calls.append(args)
+            return tile_rule(*args)
+
+        monkeypatch.setattr(quadrature, "tile_rule", counted)
+        m = build_model(preset("courant"), 0.25, box=(np.full(2, -0.5), np.full(2, 0.5)))
+        f = gaussian(2, 0.5)
+        error_norm(f, m, project(m, f), 2.0)
+        error_norm(f, m, project(m, f), 3.0, order=12)
+        assert calls == []
+
     @pytest.mark.parametrize("name", ["tensor(1,1)", "courant", "3d"])
     def test_tiled_integrate(self, name):
         V = THREE_D if name == "3d" else preset(name)

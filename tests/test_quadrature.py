@@ -10,6 +10,7 @@ from boxproj.quadrature import (
     integrate,
     sample_grid,
     tensor_rule,
+    tile_points,
     tile_rule,
 )
 
@@ -127,3 +128,12 @@ class TestTileRule:
         tiled_pts, tiled_wts = tile_rule(pts, wts, np.array([[0.0], [1.0], [2.0]]))
         val = np.dot(tiled_wts, tiled_pts[:, 0] ** 2)
         assert abs(val - 9.0) < 1e-12
+
+    def test_is_tiled_points_with_repeated_weights(self):
+        cuts = BoxSplineEvaluator(preset("courant")).quadrature_cuts(1.0)
+        pts, wts = cell_rule([0.0, 0.0], [1.0, 1.0], cuts, order=4)
+        origins = np.array([[0, 0], [2, -1], [-3, 5]])
+        tiled_pts, tiled_wts = tile_rule(pts, wts, origins)
+        assert np.array_equal(tiled_pts, tile_points(pts, origins))
+        assert tiled_pts.T.flags.c_contiguous
+        assert np.array_equal(tiled_wts, np.tile(wts, len(origins)))

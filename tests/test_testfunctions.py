@@ -1,10 +1,17 @@
 """Smooth test-function families: derivatives, supports, rescaling."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 
+from boxproj.quadrature import tile_points
 from boxproj.testfunctions import (
+    Bump,
     Gaussian,
+    Monomial,
     bump,
     finite_difference,
     gaussian,
@@ -100,3 +107,83 @@ class TestMonomial:
     def test_rescale_unsupported(self):
         with pytest.raises(Exception):
             monomial((2,)).rescale(0.5)
+
+
+def _reference(f, beta, x):
+    """D^beta f as whole-array expressions over the (n, d) points: the
+    squares summed across each row, pow for every monomial exponent."""
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    if isinstance(f, Gaussian):
+        out = np.exp(-f._a * np.sum(pts ** 2, axis=1))
+        for j, bj in enumerate(beta):
+            if bj:
+                out = out * P.polyval(pts[:, j], f._factor_poly(bj))
+    elif isinstance(f, Bump):
+        t = pts / f.radius
+        inside = np.all(np.abs(t) < 1.0, axis=1)
+        out = np.zeros(len(pts))
+        if inside.any():
+            ti = t[inside]
+            val = np.exp(np.sum(1.0 - 1.0 / (1.0 - ti ** 2), axis=1))
+            for j, bj in enumerate(beta):
+                if bj:
+                    tj = ti[:, j]
+                    num = P.polyval(tj, f._numerator_poly(bj))
+                    val = val * num / (1.0 - tj ** 2) ** (2 * bj) / f.radius ** bj
+            out[inside] = val
+    else:
+        out = np.ones(len(pts))
+        for j, (ej, bj) in enumerate(zip(f.exponents, beta)):
+            if bj > ej:
+                out = np.zeros(len(pts))
+                break
+            out = out * math.perm(ej, bj) * pts[:, j] ** (ej - bj)
+    return float(out[0]) if np.ndim(x) == 1 else out
+
+
+def _layouts(d):
+    """C-order points, a coordinate-major tiled batch, and single points."""
+    rng = np.random.default_rng(10 + d)
+    c_order = rng.uniform(-3.2, 3.2, size=(40, d))
+    tiled = tile_points(rng.uniform(0.0, 1.0, size=(7, d)), rng.integers(-5, 5, size=(6, d)))
+    tiled *= 0.55
+    assert tiled.T.flags.c_contiguous
+    return [c_order, tiled, c_order[0], c_order[3], tiled[5]]
+
+
+def _families(d):
+    yield gaussian(d, 1.3)
+    yield bump(d, 2.5)
+    for e in itertools.product(range(4), repeat=d):
+        yield monomial(e)
+
+
+class TestColumnKernels:
+    """Every family's values equal the whole-array reference bit for bit."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bitwise_equal_to_reference(self, d):
+        layouts = _layouts(d)
+        for f in _families(d):
+            for beta in itertools.product(range(4), repeat=d):
+                for x in layouts:
+                    got, want = f.derivative(beta, x), _reference(f, beta, x)
+                    if np.ndim(x) == 1:
+                        assert type(got) is float
+                    else:
+                        assert got.shape == (len(x),)
+                    assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (
+                        f.tag, getattr(f, "exponents", None), beta, np.shape(x))
+
+    def test_result_does_not_alias_points(self):
+        x = tile_points(np.array([[0.25, 0.5]]), np.array([[0, 0], [1, 2]]))
+        out = monomial((1, 0)).value(x)
+        out[:] = -7.0
+        assert x[:, 0].tolist() == [0.25, 1.25]
+
+    @pytest.mark.parametrize("f", [monomial((1, 1)), gaussian(2), bump(2)],
+                             ids=lambda f: f.tag)
+    @pytest.mark.parametrize("beta", [(1,), (1, 0, 0), (0, 0, 1), ()])
+    def test_wrong_length_multi_index_rejected(self, f, beta):
+        with pytest.raises(ValueError, match="dimension"):
+            f.derivative(beta, np.ones((3, 2)))
