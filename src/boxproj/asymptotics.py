@@ -67,15 +67,11 @@ def _ridge_cell_table(V):
     """The ridge terms of V and their values on one lattice cell.
 
     Returns (terms, B, weights): B[x, U] is term U at node x of the unit
-    cell rule of order INNER_ORDER, which is cut along every class line
-    and every Bernoulli-root line so that products of terms are integrated
-    exactly.  Cuts exist only in dimensions 1 and 2.
+    cell rule of order INNER_ORDER, which is cut along every class and
+    Bernoulli-root hyperplane so that products of terms are integrated
+    exactly in any dimension (about 1.8 million nodes in 3-D).
     """
     d = V.dimension
-    if d > 2:
-        raise UnsupportedDimensionError(
-            f"ridge-term cell quadrature needs dimension 1 or 2, not {d}"
-        )
     terms = [BernoulliSplineTerm(cls) for cls in V.classes]
     roots = bernoulli_interior_roots(V.margin + 1)
     cuts = [
@@ -92,22 +88,27 @@ def error_constant(f, V, p: float) -> float:
 
     Inner integral over one lattice cell of |sum of ridge terms|^p; outer
     integral over t of the class derivatives of f.  The inner cell is cut
-    along every class line and every Bernoulli-root line, which makes the
-    p = 2 case exact; odd p with several classes has a curved zero set
-    that is not cut, so expect quadrature error there rather than machine
-    precision.
+    along every class and Bernoulli-root hyperplane, which makes the p = 2
+    case exact in any dimension; odd p with several classes has a curved
+    zero set that is not cut, so expect quadrature error there rather than
+    machine precision.
 
     At p = 2 the double sum factors exactly into sum_{U,V} G_D[U,V] G_B[U,V]
     over class pairs, with G_D = D^T diag(w_t) D and G_B = B^T diag(w_x) B
     the Gram matrices of the class derivatives and of the ridge terms on
     the same nodes.  The cross terms are kept, so this measures the
     orthogonality that `error_constant_l2` assumes.  Other p sum
-    |D B^T|^p directly, CHUNK_ROWS outer nodes at a time.  Dimensions
-    above 2 raise `UnsupportedDimensionError`; p below 1 or not finite
+    |D B^T|^p directly, CHUNK_ROWS outer nodes at a time; in 3-D one such
+    block would take about 30 GB, so p other than 2 above dimension 2
+    raises `UnsupportedDimensionError` at entry.  p below 1 or not finite
     raises ValueError.
     """
     _check_exponent(p)
     V = _coerce(V)
+    if p != 2 and V.dimension > 2:
+        raise UnsupportedDimensionError(
+            f"p = {p} sums |D B^T|^p over the 1.8 million nodes of the 3-D cell rule, about "
+            f"30 GB per {CHUNK_ROWS} outer nodes; above dimension 2 only p = 2 is supported")
     terms, B, xwts = _ridge_cell_table(V)
     tpts, twts = _outer_rule(f, OUTER_ORDER)
     D = np.stack(
@@ -147,7 +148,7 @@ def _extrapolate(ladder, ratios) -> float:
     The correction order is not known a priori (geometric ladders show
     anything from O(h) to O(h^2) depending on symmetry), so with three or
     more rungs an Aitken delta-squared step estimates it from the data;
-    with two, a first-order model is assumed.
+    with two, or without geometric decay, a first-order model is assumed.
     """
     if len(ratios) >= 3:
         r1, r2, r3 = ratios[-3], ratios[-2], ratios[-1]
@@ -155,11 +156,9 @@ def _extrapolate(ladder, ratios) -> float:
         if d1 != 0.0 and d2 != 0.0 and 0.0 < d2 / d1 < 0.95:
             q = d2 / d1
             return float(r3 + d2 * q / (1.0 - q))
-    if len(ratios) >= 2:
-        h1, h2 = ladder[-2], ladder[-1]
-        r1, r2 = ratios[-2], ratios[-1]
-        return float(r2 + (r2 - r1) * h2 / (h1 - h2))
-    return float(ratios[-1])
+    h1, h2 = ladder[-2], ladder[-1]
+    r1, r2 = ratios[-2], ratios[-1]
+    return float(r2 + (r2 - r1) * h2 / (h1 - h2))
 
 
 def norm_equivalence_constants(V, p: float, samples: int = 4000) -> tuple[float, float]:
@@ -170,10 +169,16 @@ def norm_equivalence_constants(V, p: float, samples: int = 4000) -> tuple[float,
     sum |a_U|^p * cell-power of term_U.  At p = 2 orthogonality forces
     c1 = c2 = 1; for other p this gives the loose sandwich used to
     validate the generic constant.  Dimensions above 2 raise
-    `UnsupportedDimensionError`; p below 1 or not finite raises ValueError.
+    `UnsupportedDimensionError` at entry: every sample would be evaluated at
+    the 1.8 million nodes of the 3-D cell rule.  p below 1 or not finite
+    raises ValueError.
     """
     _check_exponent(p)
     V = _coerce(V)
+    if V.dimension > 2:
+        raise UnsupportedDimensionError(
+            f"{samples} samples at each of the 1.8 million nodes of the 3-D cell rule are too "
+            "many; norm_equivalence_constants needs dimension 1 or 2")
     terms, B, wts = _ridge_cell_table(V)
     powers = np.array([ridge_lp_power(t, p, INNER_ORDER) for t in terms])
     rng = np.random.default_rng(SAMPLE_SEED)

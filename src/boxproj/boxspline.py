@@ -274,11 +274,10 @@ class BoxSplineEvaluator:
         return tuple(sorted(normals))
 
     def quadrature_cuts(self, spacing: float = 1.0):
-        """Cut families along which the spline is only piecewise smooth,
-        for `quadrature`, which splits cells only in dimensions 1 and 2;
-        above that, no cuts (plain tensor rules)."""
-        if self.V.dimension > 2:
-            return ()
+        """Cut families along which the spline is only piecewise smooth:
+        one per knot-hyperplane normal, levels at the multiples of
+        `spacing`, so that `quadrature.cell_rule` splits a mesh cell into
+        the pieces on which the spline is one polynomial."""
         return tuple(
             quadrature.CutFamily(tuple(float(x) for x in nrm), spacing)
             for nrm in self.cut_normals

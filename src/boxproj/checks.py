@@ -64,6 +64,7 @@ _CLASS_COUNTS = {
     "haar": 1, "bspline(2)": 1, "tensor(1,1)": 2,
     "tensor(2,2)": 2, "courant": 3, "courant2": 3,
 }
+_THREE_D = DirectionSet(((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)))
 
 
 def _doubled_autocorrelation(V, gamma) -> float:
@@ -151,8 +152,7 @@ def run_battery(perturb_gram: float = 0.0) -> list[CheckResult]:
                       "closed form vs truncated lattice series, radius 300"))
 
     worst = 0.0
-    for name in ("bspline(2)", "courant"):
-        V = preset(name)
+    for V in (preset("bspline(2)"), preset("courant"), _THREE_D):
         for gamma, val in autocorrelation_table(V).items():
             other = _doubled_autocorrelation(V, gamma)
             worst = max(worst, abs(val - other))

@@ -1,15 +1,18 @@
 """Gauss-Legendre quadrature on boxes, split along straight cuts.
 
 Box-spline integrands are piecewise polynomial with kinks along known
-families of parallel lines.  Splitting each cell along these lines before
-applying a tensor rule makes the quadrature exact for piecewise-polynomial
-pieces, which is what the tight tolerances downstream rely on.  Cuts are
-supported in dimensions 1 and 2; higher dimensions fall back to plain
-tensor rules.
+families of parallel hyperplanes.  `cell_rule` splits a cell along these
+hyperplanes into convex pieces, cuts each piece into simplices and puts a
+collapsed Gauss rule on each simplex (Stroud, Approximate Calculation of
+Multiple Integrals, 1971), so the quadrature is exact for the
+piecewise-polynomial pieces, which is what the tight tolerances downstream
+rely on.  This is one path for every dimension; a cell that no cut
+crosses keeps the plain tensor rule.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -75,114 +78,106 @@ def _family_values(fam: CutFamily, smin: float, smax: float):
     return vals
 
 
-def _clip(poly, normal, c, keep_low: bool):
-    """Half-plane clip of a convex polygon (vertex list, CCW).
+@lru_cache(maxsize=None)
+def simplex_nodes(dim: int, order: int):
+    """Collapsed Gauss rule on the unit simplex (Stroud's conical product).
 
-    An edge adds its crossing point only on a strict sign change: a vertex
-    lying on the cut is kept once, never again as a crossing at t = 0 or 1,
-    which would fan into zero-area triangles with dead nodes.
+    Returns (lam, weights): node j is sum_k lam[j, k] e_k, and the weights
+    sum to 1/dim!.  The cube point u maps to lam_k = u_0 ... u_k
+    (1 - u_{k+1}), without the last factor for k = dim - 1; the Jacobian is
+    prod_k u_k^(dim-1-k).  For dim = 1 this is the plain segment rule.
     """
-    out = []
-    m = len(poly)
-    for i in range(m):
-        a = poly[i]
-        b = poly[(i + 1) % m]
-        sa = normal[0] * a[0] + normal[1] * a[1] - c
-        sb = normal[0] * b[0] + normal[1] * b[1] - c
-        if keep_low:
-            ina, inb = sa <= 0.0, sb <= 0.0
-        else:
-            ina, inb = sa >= 0.0, sb >= 0.0
-        if ina:
-            out.append(a)
-        if min(sa, sb) < 0.0 < max(sa, sb):
-            t = sa / (sa - sb)
-            out.append((a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])))
-    return out
-
-
-def _area(poly) -> float:
-    s = 0.0
-    m = len(poly)
-    for i in range(m):
-        x0, y0 = poly[i]
-        x1, y1 = poly[(i + 1) % m]
-        s += x0 * y1 - x1 * y0
-    return 0.5 * s
-
-
-def _triangle_rule(a, b, c, order: int):
-    """Duffy-type Gauss rule on one triangle; exact for moderate degrees."""
     x, w = unit_nodes(order)
-    u = x[:, None]
-    v = x[None, :]
-    wu = w[:, None]
-    wv = w[None, :]
-    e1 = (b[0] - a[0], b[1] - a[1])
-    e2 = (c[0] - a[0], c[1] - a[1])
-    det = abs(e1[0] * e2[1] - e1[1] * e2[0])
-    px = a[0] + u * ((1 - v) * e1[0] + v * e2[0])
-    py = a[1] + u * ((1 - v) * e1[1] + v * e2[1])
-    wts = wu * wv * u * det
-    pts = np.stack([px.ravel(), py.ravel()], axis=-1)
-    return pts, wts.ravel()
+    u = product_grid([x] * dim)
+    lam = np.cumprod(u, axis=1)
+    weights = product_grid([w] * dim).prod(axis=1) * lam[:, :-1].prod(axis=1)
+    lam[:, :-1] *= 1.0 - u[:, 1:]
+    return lam, weights
 
 
-def _polygon_rule(poly, order: int):
-    pts_list, wts_list = [], []
-    for i in range(1, len(poly) - 1):
-        p, w = _triangle_rule(poly[0], poly[i], poly[i + 1], order)
-        pts_list.append(p)
-        wts_list.append(w)
-    return np.concatenate(pts_list), np.concatenate(wts_list)
+def _pulling_simplices(on, face, d: int):
+    """Pulling triangulation of convex cells, without new vertices.
+
+    face[c, j] marks the vertex slots of cell c and on[c, j, q] says that
+    slot j lies on plane q.  A simplex is v_0 .. v_d: v_0 is the first
+    vertex of its cell, v_1 the first of a facet F_1 not containing v_0,
+    v_2 the first of a facet of F_1 not containing v_1, and so on.  The
+    facets of a face are its largest intersections with a plane.  A cell of
+    lower dimension runs out of facets and yields no simplex.  Returns
+    (cell, chain): chain[i] holds the d + 1 slots of simplex i.
+    """
+    cell = np.arange(len(face))
+    chain = []
+    planes = np.arange(on.shape[2])
+    for _ in range(d):
+        apex = face.argmax(axis=1)
+        chain.append(apex)
+        sub = face[:, :, None] & on[cell]
+        size = sub.sum(axis=1)
+        proper = (size > 0) & (size < face.sum(axis=1)[:, None])
+        # p is no facet if a proper q holds it and is larger, or equal and earlier
+        s = sub.astype(float)
+        within = (s.transpose(0, 2, 1) @ s == size[:, :, None]) & proper[:, None, :]
+        score = size * len(planes) - planes
+        facet = proper & ~np.any(within & (score[:, None, :] > score[:, :, None]), axis=2)
+        row, q = np.nonzero(facet & ~on[cell, apex])
+        cell, face, chain = cell[row], sub[row, :, q], [c[row] for c in chain]
+    chain.append(face.argmax(axis=1))
+    return cell, np.stack(chain, axis=1)
 
 
 def cell_rule(lo, hi, cuts=(), order: int = 12):
     """Quadrature rule on one box, split along every cut crossing it.
 
-    Returns (points, weights) with points of shape (m, d).  With cuts the
-    dimension must be 1 or 2.
+    The box faces and the cut levels that `_family_values` finds strictly
+    inside the box are planes; one batched solve finds every vertex they
+    make in the box.  A piece is a set of these vertices, first the whole
+    box; each cut level splits the pieces with vertices strictly on both
+    sides of it.  The last pieces are the convex cells on which a
+    box-spline integrand is one polynomial, in any dimension; each is cut
+    into simplices by `_pulling_simplices`, and each simplex takes
+    `simplex_nodes`.  A box that no cut crosses takes `tensor_rule`.
+    Returns (points, weights), order^d nodes per simplex, points (m, d).
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
     d = len(lo)
-    if not cuts:
+    normals = np.array([fam.normal for fam in cuts], dtype=float).reshape(-1, d)
+    smin, smax = np.sort([normals * lo, normals * hi], axis=0).sum(axis=2).tolist()
+    cut = [(j, c) for j, fam in enumerate(cuts) for c in _family_values(fam, smin[j], smax[j])]
+    if not cut:
         return tensor_rule(lo, hi, order)
-    if d == 1:
-        points = set()
-        for fam in cuts:
-            n0 = fam.normal[0]
-            if n0 == 0:
-                continue
-            smin, smax = sorted((n0 * lo[0], n0 * hi[0]))
-            points.update(c / n0 for c in _family_values(fam, smin, smax))
-        knots = [lo[0]] + sorted(points) + [hi[0]]
-        x, w = unit_nodes(order)
-        segs_p = [a + (b - a) * x for a, b in zip(knots[:-1], knots[1:])]
-        segs_w = [(b - a) * w for a, b in zip(knots[:-1], knots[1:])]
-        return np.concatenate(segs_p)[:, None], np.concatenate(segs_w)
-    if d != 2:
-        raise ValueError("cuts are only supported in dimensions 1 and 2")
-    polys = [[(lo[0], lo[1]), (hi[0], lo[1]), (hi[0], hi[1]), (lo[0], hi[1])]]
-    for fam in cuts:
-        nrm = fam.normal
-        corners = [(lo[0], lo[1]), (hi[0], lo[1]), (hi[0], hi[1]), (lo[0], hi[1])]
-        svals = [nrm[0] * p[0] + nrm[1] * p[1] for p in corners]
-        for c in _family_values(fam, min(svals), max(svals)):
-            nxt = []
-            for poly in polys:
-                low = _clip(poly, nrm, c, keep_low=True)
-                high = _clip(poly, nrm, c, keep_low=False)
-                for piece in (low, high):
-                    if len(piece) >= 3 and _area(piece) > _AREA_TOL:
-                        nxt.append(piece)
-            polys = nxt
-    pts_list, wts_list = [], []
-    for poly in polys:
-        p, w = _polygon_rule(poly, order)
-        pts_list.append(p)
-        wts_list.append(w)
-    return np.concatenate(pts_list), np.concatenate(wts_list)
+    family, levels = map(list, zip(*cut))
+    A = np.concatenate([-np.eye(d), np.eye(d), normals[family]])
+    b = np.concatenate([-lo, hi, levels])
+    reach = np.abs(np.sort([A * lo, A * hi], axis=0).sum(axis=2)).max(axis=0)
+    tol = _CUT_TOL * np.maximum(1.0, reach)
+    sets = np.array(list(itertools.combinations(range(len(b)), d)))
+    sets = sets[np.abs(np.linalg.det(A[sets])) > _AREA_TOL]
+    pts = np.linalg.solve(A[sets], b[sets][..., None])[..., 0]
+    res = pts @ A.T - b
+    inside = np.all(res[:, :2 * d] <= tol[:2 * d], axis=1)
+    pts, res = pts[inside], res[inside]
+    # one vertex per set of planes it lies on, in lexicographic order
+    on = np.abs(res) <= tol
+    keys = np.packbits(on, axis=1)
+    _, first = np.unique(keys.view(f"V{keys.shape[1]}").ravel(), return_index=True)
+    first = first[np.lexsort(pts[first].T[::-1])]
+    pts, res, on = pts[first], res[first], on[first]
+    pieces = np.ones((1, len(pts)), dtype=bool)
+    for q in range(2 * d, len(b)):
+        below, above = res[:, q] < -tol[q], res[:, q] > tol[q]
+        split = (pieces & below).any(axis=1) & (pieces & above).any(axis=1)
+        pieces = np.concatenate([pieces[~split], pieces[split] & ~above, pieces[split] & ~below])
+    size = pieces.sum(axis=1)
+    local = np.argsort(~pieces, axis=1, kind="stable")[:, :size.max()]
+    face = np.arange(local.shape[1]) < size[:, None]
+    cell, chain = _pulling_simplices(on[local] & face[..., None], face, d)
+    corner = pts[local[cell[:, None], chain]]
+    edges = corner[:, 1:] - corner[:, :1]
+    vol = np.abs(np.prod(np.diagonal(np.linalg.qr(edges, mode="r"), axis1=1, axis2=2), axis=1))
+    lam, w = simplex_nodes(d, order)
+    return (corner[:, :1] + lam @ edges).reshape(-1, d), (vol[:, None] * w).ravel()
 
 
 def sample_grid(dim: int, count: int = 17):

@@ -42,8 +42,8 @@ class TestAutocorrelation:
         assert abs(table[(0,)] - 1.0) < 1e-14
 
     def test_two_routes_agree(self):
-        for name in ("bspline(3)", "courant", "zp"):
-            V = preset(name)
+        for name in ("bspline(3)", "courant", "zp", "3d"):
+            V = THREE_D if name == "3d" else preset(name)
             for gamma, val in autocorrelation_table(V).items():
                 assert abs(val - _doubled_autocorrelation(V, gamma)) < 1e-8
 

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from boxproj import BoxSplineEvaluator, preset
+from boxproj import BoxSplineEvaluator, DirectionSet, preset
+from boxproj.asymptotics import INNER_ORDER, _ridge_cell_table
+from boxproj.projection import RULE_ORDER
 from boxproj.quadrature import (
     CutFamily,
     cell_rule,
@@ -13,6 +15,15 @@ from boxproj.quadrature import (
     tile_points,
     tile_rule,
 )
+
+
+THREE_D = DirectionSet(((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)))
+# simplices of each preset's knot rule at spacing 1 (1 for an uncut tensor
+# rule) and of its ridge rule; the courant2 ridge cell has 26 triangles
+KNOT_PIECES = {"haar": 1, "bspline(2)": 1, "bspline(3)": 1, "tensor(1,1)": 1, "tensor(2,2)": 1,
+               "courant": 2, "courant2": 2, "zp": 4, "3d": 6}
+RIDGE_PIECES = {"haar": 2, "bspline(2)": 3, "bspline(3)": 2, "tensor(1,1)": 8, "tensor(2,2)": 18,
+                "courant": 26, "courant2": 26}
 
 
 class TestCellRule:
@@ -47,10 +58,16 @@ class TestCellRule:
         val = np.dot(wts, np.abs(pts[:, 0] - 0.5))
         assert abs(val - 0.25) < 1e-13
 
-    def test_3d_cuts_unsupported(self):
+    def test_3d_cuts_exact(self):
+        # integral of |x + y + z - 1| over the unit cube is 1/2 + 2/24 = 7/12
         cuts = (CutFamily(np.array([1.0, 1.0, 1.0])),)
-        with pytest.raises(ValueError):
-            cell_rule([0.0] * 3, [1.0] * 3, cuts, order=3)
+        pts, wts = cell_rule([0.0] * 3, [1.0] * 3, cuts, order=3)
+        assert (wts > 0).all() and abs(wts.sum() - 1.0) < 1e-14
+        assert abs(np.dot(wts, np.abs(pts.sum(axis=1) - 1.0)) - 7 / 12) < 1e-14
+        # E[max(x, y, z)^2] = 3/5 for three uniforms; kinks on x = y, y = z, x = z
+        cuts = BoxSplineEvaluator(THREE_D).quadrature_cuts(1.0)
+        pts, wts = cell_rule([0.0] * 3, [1.0] * 3, cuts, order=3)
+        assert abs(np.dot(wts, pts.max(axis=1) ** 2) - 3 / 5) < 1e-14
 
     def test_weights_positive_total_area(self):
         cuts = (CutFamily(np.array([1.0, -1.0]), spacing=1.0),
@@ -59,16 +76,28 @@ class TestCellRule:
         assert (wts > -1e-14).all()
         assert abs(wts.sum() - 4.0) < 1e-12
 
-    @pytest.mark.parametrize("order", [6, 10])
-    @pytest.mark.parametrize("spacing", [1.0, 0.25])
-    def test_courant_cell_has_no_dead_nodes(self, order, spacing):
-        # the diagonal cut runs through two corners of the cell: each corner
-        # must stay one vertex, or the fan adds zero-area triangles
-        cuts = BoxSplineEvaluator(preset("courant")).quadrature_cuts(spacing)
-        pts, wts = cell_rule([0.0, 0.0], [spacing, spacing], cuts, order=order)
-        assert len(wts) == len(pts) == 2 * order ** 2
+    @pytest.mark.parametrize("kind, name, spacing, order, pieces", [
+        pytest.param("knot", "courant", s, n, 2, id=f"{s}-{n}") for s in (0.25, 1.0) for n in (6, 10)
+    ] + [
+        pytest.param("knot", name, 1.0, RULE_ORDER, pieces, id=f"knot-{name}")
+        for name, pieces in KNOT_PIECES.items()
+    ] + [
+        pytest.param("ridge", name, 1.0, INNER_ORDER, pieces, id=f"ridge-{name}")
+        for name, pieces in RIDGE_PIECES.items()
+    ])
+    def test_courant_cell_has_no_dead_nodes(self, kind, name, spacing, order, pieces):
+        # a cut through a vertex of a piece must leave that vertex one
+        # vertex: a second copy would add simplices of zero volume
+        V = THREE_D if name == "3d" else preset(name)
+        d = V.dimension
+        if kind == "knot":
+            cuts = BoxSplineEvaluator(V).quadrature_cuts(spacing)
+            nodes, wts = cell_rule([0.0] * d, [spacing] * d, cuts, order=order)
+        else:
+            _, nodes, wts = _ridge_cell_table(V)  # term values, one row per node
+        assert len(wts) == len(nodes) == order ** d * pieces
         assert (wts > 0).all()
-        assert abs(wts.sum() - spacing ** 2) < 1e-14
+        assert abs(wts.sum() - spacing ** d) < 1e-14
 
 
 class TestIntegrate:
