@@ -15,13 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import UnsupportedDimensionError, _coerce, multi_indices, product_derivative
-from .bernoulli import (BernoulliSplineTerm, bernoulli_interior_roots, bernoulli_l2_norm_sq,
-                        ridge_lp_power)
+from .bernoulli import INNER_ORDER, BernoulliSplineTerm, bernoulli_l2_norm_sq, ridge_cut
 from .projection import RULE_ORDER, _check_exponent, build_model, error_norm, project
 from . import quadrature
 
 CHUNK_ROWS = 2048  # outer nodes per block of the direct sum at p != 2
-INNER_ORDER = 16  # Gauss order of the cut cell rule of the ridge terms
 OUTER_ORDER = 12  # Gauss order of the outer rule over the support of f
 SAMPLE_SEED = 7  # seed of the coefficient directions of norm_equivalence_constants
 
@@ -56,9 +54,9 @@ def _outer_rule(f, order: int):
     return quadrature.tile_rule(base_pts, base_wts, quadrature.box_cells(lo, hi))
 
 
-def sobolev_product_norm(f, vectors, p: float = 2.0, order: int = 12) -> float:
+def sobolev_product_norm(f, vectors, p: float = 2.0) -> float:
     """Integral of |prod (v.grad) f|^p over the effective support of f."""
-    pts, wts = _outer_rule(f, order)
+    pts, wts = _outer_rule(f, OUTER_ORDER)
     vals = directional_derivative(f, vectors, pts)
     return float(np.dot(wts, np.abs(vals) ** p))
 
@@ -73,11 +71,7 @@ def _ridge_cell_table(V):
     """
     d = V.dimension
     terms = [BernoulliSplineTerm(cls) for cls in V.classes]
-    roots = bernoulli_interior_roots(V.margin + 1)
-    cuts = [
-        quadrature.CutFamily(tuple(float(a) for a in t.hyperplane.alpha), 1.0, (0.0,) + roots)
-        for t in terms
-    ]
+    cuts = [ridge_cut(t.hyperplane.alpha, t.degree) for t in terms]
     pts, wts = quadrature.cell_rule([0.0] * d, [1.0] * d, cuts, INNER_ORDER)
     B = np.stack([t.evaluate(pts) for t in terms], axis=-1)
     return terms, B, wts
@@ -125,7 +119,7 @@ def error_constant(f, V, p: float) -> float:
     return float(total)
 
 
-def error_constant_l2(f, V, outer_order: int = OUTER_ORDER) -> float:
+def error_constant_l2(f, V) -> float:
     """Closed form at p = 2: the ridge terms are L2-orthogonal over a cell.
 
     Distinct classes have non-parallel normals, so their lattice Fourier
@@ -138,7 +132,7 @@ def error_constant_l2(f, V, outer_order: int = OUTER_ORDER) -> float:
     total = 0.0
     for cls in V.classes:
         weight = period_norm * float(cls.scale) ** 2
-        total += weight * sobolev_product_norm(f, cls.members, p=2.0, order=outer_order)
+        total += weight * sobolev_product_norm(f, cls.members, p=2.0)
     return float(total)
 
 
@@ -166,7 +160,8 @@ def norm_equivalence_constants(V, p: float, samples: int = 4000) -> tuple[float,
 
     Returns (c1, c2) such that, over sampled coefficient directions a,
     the cell integral of |sum a_U term_U|^p stays between c1 and c2 times
-    sum |a_U|^p * cell-power of term_U.  At p = 2 orthogonality forces
+    sum |a_U|^p * cell-power of term_U, both sides read from one cut cell
+    table of the terms.  At p = 2 orthogonality forces
     c1 = c2 = 1; for other p this gives the loose sandwich used to
     validate the generic constant.  Dimensions above 2 raise
     `UnsupportedDimensionError` at entry: every sample would be evaluated at
@@ -180,7 +175,7 @@ def norm_equivalence_constants(V, p: float, samples: int = 4000) -> tuple[float,
             f"{samples} samples at each of the 1.8 million nodes of the 3-D cell rule are too "
             "many; norm_equivalence_constants needs dimension 1 or 2")
     terms, B, wts = _ridge_cell_table(V)
-    powers = np.array([ridge_lp_power(t, p, INNER_ORDER) for t in terms])
+    powers = (np.abs(B) ** p).T @ wts
     rng = np.random.default_rng(SAMPLE_SEED)
     A = rng.normal(size=(samples, len(terms)))
     A /= np.linalg.norm(A, axis=1, keepdims=True)

@@ -18,8 +18,10 @@ import numpy as np
 
 from .lattice import HyperplaneClass, MultiIndex, _coerce, product_derivative
 from .boxspline import transform_derivatives
+from . import quadrature
 
 TWO_PI_I = 2j * np.pi
+INNER_ORDER = 16  # Gauss order of the cut cell rule of the ridge terms
 SERIES_CHUNK = 1 << 14  # (point, frequency) pairs per block of the series sum (cache-sized)
 NORM_SERIES_BASE = 64  # first truncation of the Fourier-side norm series
 NORM_SERIES_LEVELS = 6  # doublings of it that the Neville extrapolation combines
@@ -102,6 +104,7 @@ def bernoulli_l2_norm_sq_series(k: int) -> float:
     return table[0]
 
 
+@lru_cache(maxsize=None)
 def bernoulli_interior_roots(k: int) -> tuple[float, ...]:
     """Roots of the degree-k Bernoulli polynomial strictly inside (0, 1)."""
     coeffs = [float(c) for c in bernoulli_poly_coeffs(k)]
@@ -155,29 +158,29 @@ class BernoulliSplineTerm:
         return acc[0] if single else acc
 
 
-def periodic_lp_power(k: int, p: float, order: int = 16) -> float:
-    """Integral over one period of |B_k|^p, split at the sign changes."""
-    from . import quadrature
+def ridge_cut(alpha, k: int) -> quadrature.CutFamily:
+    """Cut family of a degree-k ridge term of normal alpha: its kinks at the
+    integers and its sign changes at the interior Bernoulli roots."""
+    return quadrature.CutFamily(tuple(float(a) for a in alpha), 1.0,
+                                (0.0,) + bernoulli_interior_roots(k))
 
-    cuts = (quadrature.CutFamily((1.0,), 1.0, (0.0,) + bernoulli_interior_roots(k)),)
-    pts, wts = quadrature.cell_rule([0.0], [1.0], cuts, order)
+
+def periodic_lp_power(k: int, p: float) -> float:
+    """Integral over one period of |B_k|^p, split at the sign changes."""
+    pts, wts = quadrature.cell_rule([0.0], [1.0], (ridge_cut((1,), k),), INNER_ORDER)
     return float(np.dot(wts, np.abs(bernoulli_periodic(k, pts[:, 0])) ** p))
 
 
-def ridge_lp_power(term: BernoulliSplineTerm, p: float, order: int = 16) -> float:
+def ridge_lp_power(term: BernoulliSplineTerm, p: float) -> float:
     """Integral over one lattice cell of |term|^p.
 
     Factorizes as the period integral of |B_deg|^p times |scale|^p; this
     computes the left side directly by cut-aware cell quadrature so the
     factorization can be tested rather than assumed.
     """
-    from . import quadrature
-
-    alpha = tuple(float(a) for a in term.hyperplane.alpha)
-    d = len(alpha)
-    roots = bernoulli_interior_roots(term.degree)
-    cuts = (quadrature.CutFamily(alpha, 1.0, (0.0,) + roots),)
-    pts, wts = quadrature.cell_rule([0.0] * d, [1.0] * d, cuts, order)
+    d = len(term.hyperplane.alpha)
+    cuts = (ridge_cut(term.hyperplane.alpha, term.degree),)
+    pts, wts = quadrature.cell_rule([0.0] * d, [1.0] * d, cuts, INNER_ORDER)
     return float(np.dot(wts, np.abs(term.evaluate(pts)) ** p))
 
 

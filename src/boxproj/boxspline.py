@@ -18,7 +18,6 @@ from .lattice import (
     DirectionSet,
     MultiIndex,
     _coerce,
-    _hyperplane_normal,
     integer_rank,
     nonorthogonal_directions,
     product_derivative,
@@ -236,10 +235,11 @@ def _leibniz_derivative(V, beta: MultiIndex, dots) -> complex:
 class BoxSplineEvaluator:
     """Vectorized pointwise evaluation by the two-term mesh recurrence.
 
-    Points sitting on a knot hyperplane (where the value of a low-order
-    spline is ambiguous) are nudged by NUDGE along a direction with
-    rationally independent coordinates, which moves them off every such
-    hyperplane simultaneously.
+    The knots lie on the integer translates of the hyperplanes of
+    `V.hyperplanes`, whose normals are `cut_normals`.  Points sitting on a
+    knot hyperplane (where the value of a low-order spline is ambiguous)
+    are nudged by NUDGE along a direction with rationally independent
+    coordinates, which moves them off every such hyperplane simultaneously.
     """
 
     def __init__(self, V):
@@ -250,9 +250,8 @@ class BoxSplineEvaluator:
             counts[v] = counts.get(v, 0) + 1
         self.distinct = tuple(counts)
         self.multiplicity = tuple(counts[v] for v in self.distinct)
-        self._vt = np.array(self.distinct, dtype=float)
         self._nudge_dir = np.array([math.pi ** -j for j in range(d)])
-        self.cut_normals = self._knot_normals()
+        self.cut_normals = self.V.hyperplanes
         lo = np.zeros(d)
         hi = np.zeros(d)
         for v, m in zip(self.distinct, self.multiplicity):
@@ -263,15 +262,6 @@ class BoxSplineEvaluator:
         self.support_hi = hi
         self._basis_cache: dict[tuple[int, ...], tuple] = {}
         self._span_cache: dict[tuple[int, ...], bool] = {}
-
-    def _knot_normals(self):
-        d = self.V.dimension
-        if d == 1:
-            return ((1,),)
-        normals = {_hyperplane_normal(rows, d)
-                   for rows in itertools.combinations(self.distinct, d - 1)}
-        normals.discard(None)
-        return tuple(sorted(normals))
 
     def quadrature_cuts(self, spacing: float = 1.0):
         """Cut families along which the spline is only piecewise smooth:

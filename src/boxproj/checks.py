@@ -56,15 +56,15 @@ def _check(name, value, tol, note="") -> CheckResult:
                        passed=bool(value <= tol), note=note)
 
 
+_THREE_D = DirectionSet(((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)))
 _MARGINS = {
     "haar": 0, "bspline(2)": 1, "bspline(3)": 2,
-    "tensor(1,1)": 0, "tensor(2,2)": 1, "courant": 1, "courant2": 3,
+    "tensor(1,1)": 0, "tensor(2,2)": 1, "courant": 1, "courant2": 3, _THREE_D: 1,
 }
 _CLASS_COUNTS = {
     "haar": 1, "bspline(2)": 1, "tensor(1,1)": 2,
-    "tensor(2,2)": 2, "courant": 3, "courant2": 3,
+    "tensor(2,2)": 2, "courant": 3, "courant2": 3, _THREE_D: 6,
 }
-_THREE_D = DirectionSet(((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)))
 
 
 def _doubled_autocorrelation(V, gamma) -> float:
@@ -89,10 +89,11 @@ def _nested_directional_derivative(f, vectors, t):
 def run_battery(perturb_gram: float = 0.0) -> list[CheckResult]:
     out = []
 
-    bad = sum(preset(k).margin != v for k, v in _MARGINS.items())
+    sets = {k: preset(k) if isinstance(k, str) else k for k in _MARGINS}
+    bad = sum(sets[k].margin != v for k, v in _MARGINS.items())
     out.append(_check("preset_margins", bad, 0, "mismatches against frozen table"))
 
-    bad = sum(len(preset(k).classes) != v for k, v in _CLASS_COUNTS.items())
+    bad = sum(len(sets[k].classes) != v for k, v in _CLASS_COUNTS.items())
     out.append(_check("preset_class_counts", bad, 0))
 
     try:

@@ -2,9 +2,10 @@
 
 A direction set is a multiset of nonzero integer vectors spanning R^d.
 Everything in this module is exact: Python integers and fractions only,
-no floating point.  The combinatorial quantities computed here (deletion
-margin, hyperplane classes, primitive normals, derivative constants of
-products of linear forms) drive the analytic modules downstream.
+no floating point.  The hyperplanes spanned by a set, listed once in
+`DirectionSet.hyperplanes`, give its deletion margin, hyperplane classes
+and knot normals; these and the derivative constants of products of
+linear forms drive the analytic modules downstream.
 """
 
 from __future__ import annotations
@@ -207,6 +208,16 @@ class DirectionSet:
         return f"DirectionSet({list(self.vectors)!r})"
 
     @cached_property
+    def hyperplanes(self) -> tuple[tuple[int, ...], ...]:
+        """Primitive normals, sorted, of the hyperplanes spanned by
+        (d - 1)-subsets of the distinct vectors; (1,) in dimension 1."""
+        distinct = dict.fromkeys(self.vectors)
+        normals = {_hyperplane_normal(rows, self.dimension)
+                   for rows in itertools.combinations(distinct, self.dimension - 1)}
+        normals.discard(None)
+        return tuple(sorted(normals))
+
+    @cached_property
     def margin(self) -> int:
         return deletion_margin(self)
 
@@ -239,27 +250,23 @@ def is_unimodular(V) -> bool:
 def deletion_margin(V) -> int:
     """Largest r such that removing ANY r vectors still leaves a spanning set.
 
-    Equals the smoothness/approximation-order driver of the associated
-    box spline: the spline lies in C^(r-1) and reproduces polynomials of
-    degree r.
+    A deletion loses the span when it takes every vector off one of
+    `V.hyperplanes`, so r + 1 is the fewest vectors off one of them.  r drives
+    smoothness and approximation order: the box spline lies in C^(r-1) and
+    reproduces polynomials of degree r.
     """
     V = _coerce(V)
-    n, d = len(V), V.dimension
-    for r in range(1, n - d + 2):
-        for idx in itertools.combinations(range(n), r):
-            keep = [V[i] for i in range(n) if i not in idx]
-            if integer_rank(keep) != d:
-                return r - 1
-    return n - d
+    return min(len(nonorthogonal_directions(V, a)) for a in V.hyperplanes) - 1
 
 
 @dataclass(frozen=True)
 class HyperplaneClass:
     """One class of the critical-deletion family of a direction set.
 
-    `members` are the deleted vectors (sorted), `alpha` the primitive
-    normal of the hyperplane spanned by the rest, and `denominators` the
-    pairings alpha.v over the members, none of which vanish.
+    `alpha` is the primitive normal of a hyperplane of the set, `members`
+    the margin + 1 vectors off it (sorted, at `member_indices`), and
+    `denominators` the pairings alpha.v over the members, none of which
+    vanish.
     """
 
     members: tuple[tuple[int, ...], ...]
@@ -280,35 +287,26 @@ class HyperplaneClass:
 
 
 def hyperplane_classes(V) -> tuple[HyperplaneClass, ...]:
-    """All deletion classes of size margin+1 whose complement loses the span.
+    """One class per hyperplane of `V.hyperplanes` with exactly margin + 1
+    vectors off it, in the order of their normals.
 
-    Classes are value multisets: repeated vectors produce a single class.
     Requires unimodularity; the expansion coefficients downstream are only
-    valid on the integer lattice in that case.  A complement that keeps
-    the span has no normal and is skipped; one of rank below d - 1 cannot
-    occur, since deleting margin vectors keeps the span and one more
-    lowers the rank by at most one.
+    valid on the integer lattice in that case.  The vectors on a hyperplane
+    span it, so distinct hyperplanes give distinct member multisets, and
+    repeated vectors give a single class.
     """
     V = _coerce(V)
     if not V.is_unimodular:
         raise NonUnimodularError("direction set has a d-subset with |det| > 1")
-    n, d = len(V), V.dimension
-    r = V.margin
-    seen: dict[tuple, HyperplaneClass] = {}
-    for idx in itertools.combinations(range(n), r + 1):
-        members = tuple(sorted(V[i] for i in idx))
-        if members in seen:
-            continue
-        alpha = _hyperplane_normal([V[i] for i in range(n) if i not in idx], d)
-        if alpha is None:
-            continue
-        dens = tuple(_dot(alpha, v) for v in members)
-        if any(q == 0 for q in dens):
-            raise AssertionError("normal pairs to zero against a deleted vector")
-        seen[members] = HyperplaneClass(
-            members=members, alpha=alpha, denominators=dens, member_indices=idx
-        )
-    return tuple(sorted(seen.values(), key=lambda c: (c.alpha, c.members)))
+    classes = []
+    for alpha in V.hyperplanes:
+        idx = nonorthogonal_directions(V, alpha)
+        if len(idx) == V.margin + 1:
+            members = tuple(sorted(V[i] for i in idx))
+            classes.append(HyperplaneClass(
+                members=members, alpha=alpha,
+                denominators=tuple(_dot(alpha, v) for v in members), member_indices=idx))
+    return tuple(classes)
 
 
 def _dot(a, b) -> int:

@@ -22,7 +22,10 @@ from boxproj import (
     nonorthogonal_directions,
     preset,
 )
+from boxproj import lattice
 from boxproj.lattice import (
+    MAX_DIRECTIONS,
+    _echelon as echelon,
     deletion_margin,
     integer_det,
     integer_rank,
@@ -185,6 +188,42 @@ class TestDirectionSet:
                 continue
             found += 1
             assert deletion_margin(vecs) == margin_oracle(vecs)
+        # dimensions 1 to 3, each set with one of its vectors repeated
+        for d in (1, 2, 3):
+            found = 0
+            while found < 15:
+                n = int(rng.integers(d, d + 5))
+                vecs = [tuple(int(v) for v in rng.integers(-2, 3, size=d)) for _ in range(n)]
+                vecs.append(vecs[int(rng.integers(n))])
+                if any(all(c == 0 for c in v) for v in vecs):
+                    continue
+                if np.linalg.matrix_rank(np.array(vecs, dtype=float)) < d:
+                    continue
+                found += 1
+                assert deletion_margin(vecs) == margin_oracle(vecs), vecs
+
+    @pytest.mark.parametrize("distinct, margin", [
+        # in 2-D each of the four lines holds 4 of the 16 vectors, so the
+        # fewest vectors off a line is 12
+        ([(1, 0), (0, 1), (1, 1), (1, -1)], 11),
+        # in 3-D the plane x3 = 0 holds 4 of the 8 distinct directions and
+        # no plane holds more, so the fewest vectors off a plane is 2 * 4
+        ([(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0),
+          (0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)], 7),
+    ], ids=["2d", "3d"])
+    def test_margin_of_max_directions_costs_one_elimination_per_hyperplane(
+            self, monkeypatch, distinct, margin):
+        V = DirectionSet(distinct * (MAX_DIRECTIONS // len(distinct)))
+        assert len(V) == MAX_DIRECTIONS
+        calls = []
+
+        def counting(rows):
+            calls.append(rows)
+            return echelon(rows)
+
+        monkeypatch.setattr(lattice, "_echelon", counting)
+        assert V.margin == margin
+        assert len(calls) <= math.comb(len(distinct), V.dimension - 1)
 
     def test_frozen_margin_table(self):
         expected = {"haar": 0, "bspline(2)": 1, "bspline(3)": 2,

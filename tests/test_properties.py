@@ -1,15 +1,20 @@
 """Property tests over families of direction sets.
 
 The three-direction family {e1^l, e2^m, (e1+e2)^n} (l, m, n >= 1), the
-tensor family tensor(m1, m2) and the univariate family bspline(n) are
-drawn by hypothesis with a fixed seed, so every run tests the same sets.
+tensor family tensor(m1, m2), the univariate family bspline(n) and the
+spanning sub-multisets of {e1, e2, e3, e1+e2, e2+e3, e1+e2+e3} are drawn
+by hypothesis with a fixed seed, so every run tests the same sets.
 """
 
+import itertools
+
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from boxproj import DirectionSet, autocorrelation_table, hyperplane_classes, preset
+from boxproj import (BoxSplineEvaluator, DirectionSet, autocorrelation_table, hyperplane_classes,
+                     nonorthogonal_directions, preset)
 from boxproj.bernoulli import BernoulliSplineTerm
 from boxproj.checks import _doubled_autocorrelation
 
@@ -51,3 +56,34 @@ def test_gram_table_matches_doubled_spline(lmn):
     table = autocorrelation_table(V)
     worst = max(abs(a - _doubled_autocorrelation(V, gamma)) for gamma, a in table.items())
     assert worst <= 1e-8
+
+
+# consecutive-ones vectors: every set drawn from them is unimodular
+CONSECUTIVE_ONES = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 1, 1)]
+
+
+def float_rank_margin(vectors):
+    """Largest r such that every deletion of r vectors still spans, by float ranks."""
+    arr = np.array(vectors, dtype=float)
+    n, d = arr.shape
+    for r in range(1, n - d + 2):
+        for keep in itertools.combinations(range(n), n - r):
+            if np.linalg.matrix_rank(arr[list(keep)]) < d:
+                return r - 1
+    return n - d
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(st.lists(st.integers(0, 2), min_size=6, max_size=6))
+def test_unimodular_3d_sets_read_one_hyperplane_list(counts):
+    vectors = [v for v, c in zip(CONSECUTIVE_ONES, counts) for _ in range(c)]
+    assume(vectors and np.linalg.matrix_rank(np.array(vectors, dtype=float)) == 3)
+    V = DirectionSet(vectors)
+    assert V.is_unimodular
+    assert V.margin == float_rank_margin(vectors)
+    assert V.classes
+    for cls in V.classes:
+        active = nonorthogonal_directions(V, cls.alpha)
+        assert cls.member_indices == active
+        assert cls.members == tuple(sorted(vectors[i] for i in active))
+    assert BoxSplineEvaluator(V).cut_normals == V.hyperplanes

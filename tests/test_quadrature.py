@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from boxproj import BoxSplineEvaluator, DirectionSet, preset
-from boxproj.asymptotics import INNER_ORDER, _ridge_cell_table
+from boxproj.asymptotics import _ridge_cell_table
+from boxproj.bernoulli import INNER_ORDER
 from boxproj.projection import RULE_ORDER
 from boxproj.quadrature import (
     CutFamily,
