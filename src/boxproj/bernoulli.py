@@ -22,7 +22,7 @@ from . import quadrature
 
 TWO_PI_I = 2j * np.pi
 INNER_ORDER = 16  # Gauss order of the cut cell rule of the ridge terms
-SERIES_CHUNK = 1 << 14  # (point, frequency) pairs per block of the series sum (cache-sized)
+SERIES_CHUNK = 1 << 14  # entries per block of a series sum: pairs or table cells (cache-sized)
 NORM_SERIES_BASE = 64  # first truncation of the Fourier-side norm series
 NORM_SERIES_LEVELS = 6  # doublings of it that the Neville extrapolation combines
 
@@ -113,6 +113,44 @@ def bernoulli_interior_roots(k: int) -> tuple[float, ...]:
     return tuple(sorted(out))
 
 
+def _check_radius(radius) -> None:
+    if isinstance(radius, bool) or not isinstance(radius, (int, np.integer)) or radius < 1:
+        raise ValueError(f"series radius must be a positive integer, got {radius!r}")
+
+
+def progression_sum(t, ahead, behind):
+    """sum_k ahead[k-1] z^k + behind[k-1] z^-k over k = 1..K, z = exp(2 pi i t).
+
+    With B = ceil(sqrt K), Q = ceil(K / B) and k = qB + r + 1, z^k is
+    coarse[q] fine[r] for the tables fine[r] = z^(r+1) and coarse[q] =
+    z^(qB), each an exp of its exact phase.  With the weights zero-padded
+    to (Q, B) arrays W, the sum is sum_q coarse[q] (fine @ W.T)[q], and
+    z^-k takes the conjugate tables: B + Q ~ 2 sqrt K exponentials per
+    point instead of 2K, plus one matrix product.  Points are taken in
+    blocks whose fine table holds about SERIES_CHUNK entries.  K >= 1.
+    """
+    t = np.asarray(t, dtype=float)
+    K = len(ahead)
+    B = math.isqrt(K - 1) + 1
+    Q = -(-K // B)
+    # conj(fine) @ behind = conj(fine @ conj(behind)): one product takes both halves
+    W = np.zeros((2, Q * B), dtype=complex)
+    W[0, :K] = ahead
+    W[1, :K] = np.conj(behind)
+    W = W.reshape(2 * Q, B).T
+    fine_k = np.arange(1, B + 1, dtype=float)
+    coarse_k = np.arange(0, Q * B, B, dtype=float)
+    out = np.empty(len(t), dtype=complex)
+    step = max(1, SERIES_CHUNK // B)
+    for start in range(0, len(t), step):
+        tb = t[start:start + step, None]
+        coarse = np.exp(TWO_PI_I * (tb * coarse_k))
+        halves = np.exp(TWO_PI_I * (tb * fine_k)) @ W
+        out[start:start + step] = (np.einsum("ij,ij->i", coarse, halves[:, :Q])
+                                   + np.conj(np.einsum("ij,ij->i", coarse, halves[:, Q:])))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # ridge terms and expansions
 
@@ -145,16 +183,13 @@ class BernoulliSplineTerm:
 
     def series(self, x, radius: int):
         """Partial Fourier sum over multiples k alpha with |k| <= radius."""
+        _check_radius(radius)
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         pts = np.atleast_2d(x)
         dots = pts @ np.array(self.hyperplane.alpha, dtype=float)
-        acc = np.zeros(len(pts), dtype=complex)
-        for k in range(1, radius + 1):
-            phase = np.exp(TWO_PI_I * k * dots)
-            coef = 1.0 / (TWO_PI_I * k) ** self.degree
-            acc += coef * phase + np.conj(coef * phase)
-        acc *= float(self.scale)
+        coefs = 1.0 / (TWO_PI_I * np.arange(1, radius + 1)) ** self.degree
+        acc = progression_sum(dots, coefs, np.conj(coefs)) * float(self.scale)
         return acc[0] if single else acc
 
 
@@ -236,44 +271,53 @@ def monomial_error_series(V, beta, x, radius: int, mode: str = "auto"):
     frequency keeps more than margin + 1 >= |beta| non-orthogonal
     directions, so its coefficient is a structural zero; below the critical
     order every coefficient is, and the series is exactly 0).  'auto'
-    switches to lines when the cube would be large.
+    switches to lines when the cube would be large.  radius must be a
+    positive integer.
 
     The frequencies are built as one array and weighed by one
-    `transform_derivatives` call; zero weights are dropped, and the sum is
-    accumulated as exp(2 pi i x . xi) @ weights over blocks of frequencies
-    sized so that a block holds about SERIES_CHUNK (point, frequency)
-    pairs.  Returns complex values; symmetric truncation makes the
-    imaginary part vanish up to roundoff.
+    `transform_derivatives` call.  Cube mode drops the zero weights and
+    sums exp(2 pi i x . xi) @ weights over blocks of frequencies sized so
+    that a block holds about SERIES_CHUNK (point, frequency) pairs: one
+    exponential per pair, which makes it the independent check of lines
+    mode.  Lines mode sums the two progressions z^k and z^-k of each class,
+    z = exp(2 pi i alpha.x), by `progression_sum`, at about 2 sqrt(K)
+    exponentials per point for K multiples; a class whose weights all
+    vanish is skipped.  Returns complex values; symmetric truncation makes
+    the imaginary part vanish up to roundoff.
     """
+    _check_radius(radius)
     V = _coerce(V)
     beta = MultiIndex.of(beta)
     d = V.dimension
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = np.atleast_2d(x)
+    acc = np.zeros(len(pts), dtype=complex)
     if mode == "auto":
         mode = "cube" if (2 * radius + 1) ** d <= 200_000 else "lines"
     if mode == "cube":
         freqs = np.indices((2 * radius + 1,) * d).reshape(d, -1).T - radius
         freqs = freqs[np.any(freqs != 0, axis=1)]
+        weights = transform_derivatives(V, beta, freqs)
+        live = weights != 0
+        freqs, weights = freqs[live], weights[live]
+        step = max(1, SERIES_CHUNK // len(pts))
+        for start in range(0, len(freqs), step):
+            block = freqs[start:start + step]
+            acc += np.exp(TWO_PI_I * (pts @ block.T)) @ weights[start:start + step]
     elif mode == "lines":
         if beta.order > V.margin + 1:
             raise ValueError("lines mode applies up to the critical order only")
-        lines = []
-        for cls in V.classes:
-            ks = np.arange(1, radius // max(abs(a) for a in cls.alpha) + 1)
-            signed = np.stack([ks, -ks], axis=1).ravel()
-            lines.append(signed[:, None] * np.array(cls.alpha))
-        freqs = np.concatenate(lines)
+        alphas = [np.array(cls.alpha) for cls in V.classes]
+        counts = [radius // int(np.abs(a).max()) for a in alphas]
+        freqs = np.concatenate([sign * np.arange(1, K + 1)[:, None] * a
+                                for a, K in zip(alphas, counts) for sign in (1, -1)])
+        weights = np.split(transform_derivatives(V, beta, freqs),
+                           np.cumsum(np.repeat(counts, 2))[:-1])
+        for a, ahead, behind in zip(alphas, weights[0::2], weights[1::2]):
+            if ahead.any() or behind.any():
+                acc += progression_sum(pts @ a, ahead, behind)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    weights = transform_derivatives(V, beta, freqs)
-    live = weights != 0
-    freqs, weights = freqs[live], weights[live]
-    acc = np.zeros(len(pts), dtype=complex)
-    step = max(1, SERIES_CHUNK // len(pts))
-    for start in range(0, len(freqs), step):
-        block = freqs[start:start + step]
-        acc += np.exp(TWO_PI_I * (pts @ block.T)) @ weights[start:start + step]
     acc *= (1.0 / TWO_PI_I) ** beta.order
     return acc[0] if single else acc

@@ -221,7 +221,7 @@ def cmd_lbeta(cfg: ExperimentConfig, args) -> int:
     beta = MultiIndex.of((beta,) if isinstance(beta, int) else beta)
     if beta.order > V.margin + 1:
         raise ConfigError("beta order exceeds margin + 1")
-    radius = int(cfg.number("series_radius", 400))
+    radius = cfg.get("series_radius", 400)
     count = int(cfg.number("grid", 17))
     mode = str(cfg.get("series_mode", "auto"))
     pts = quadrature.sample_grid(V.dimension, count)

@@ -237,14 +237,15 @@ def _coerce(V) -> DirectionSet:
 
 
 def is_unimodular(V) -> bool:
-    """True when every spanning d-subset has determinant 0 or +-1."""
+    """True when every spanning d-subset has determinant 0 or +-1.
+
+    A subset holding a vector twice has determinant 0, so the d-subsets of
+    the distinct vectors carry every determinant there is.
+    """
     V = _coerce(V)
-    d = V.dimension
-    for idx in itertools.combinations(range(len(V)), d):
-        det = integer_det([V[i] for i in idx])
-        if det not in (-1, 0, 1):
-            return False
-    return True
+    distinct = dict.fromkeys(V.vectors)
+    return all(integer_det(rows) in (-1, 0, 1)
+               for rows in itertools.combinations(distinct, V.dimension))
 
 
 def deletion_margin(V) -> int:

@@ -240,6 +240,20 @@ def _reference_series(V, beta, x, radius, mode):
     return acc * (1.0 / (2j * np.pi)) ** beta.order
 
 
+@pytest.fixture
+def exp_sizes(monkeypatch):
+    """Element counts of the arrays passed to np.exp while the test runs."""
+    sizes = []
+    real = np.exp
+
+    def counting(a, *args, **kwargs):
+        sizes.append(np.size(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting)
+    return sizes
+
+
 class TestBatchedSeries:
     @pytest.mark.parametrize("name, radius, mode", [
         ("haar", 2000, "lines"), ("bspline(3)", 300, "lines"),
@@ -253,6 +267,56 @@ class TestBatchedSeries:
             want = _reference_series(V, beta, x, radius, mode)
             got = monomial_error_series(V, beta, x, radius, mode=mode)
             assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1e-300)
+
+    @pytest.mark.parametrize("name", ["courant", "courant2"])
+    @pytest.mark.parametrize("radius", [1, 2, 97, 144, 2000])
+    def test_lines_split_matches_reference(self, name, radius):
+        # K = 1 and 2 are single-row splits, 97 a prime, 144 = 12^2 fills
+        # its (Q, B) table with no padding; radius 2000 is criterion 1's
+        V = preset(name)
+        x = sample_grid(2, 5)
+        betas = list(multi_indices(2, V.margin + 1))
+        for beta in betas if radius < 1000 else betas[len(betas) // 2:][:1]:
+            want = _reference_series(V, beta, x, radius, "lines")
+            got = monomial_error_series(V, beta, x, radius, mode="lines")
+            assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1e-300)
+
+    def test_class_beyond_radius_contributes_nothing(self, exp_sizes):
+        # (2, 1) puts the class normal (1, -2) on this set; at radius 1 its
+        # line holds no frequency, so the sum is the cube over |xi| <= 1
+        V = DirectionSet(((1, 0), (2, 1), (1, 1)))
+        assert V.is_unimodular and (1, -2) in [cls.alpha for cls in V.classes]
+        x = sample_grid(2, 5)
+        for beta in multi_indices(2, V.margin + 1):
+            want = monomial_error_series(V, beta, x, 1, mode="cube")
+            assert np.abs(_reference_series(V, beta, x, 1, "lines") - want).max() < 1e-15
+            exp_sizes.clear()
+            got = monomial_error_series(V, beta, x, 1, mode="lines")
+            assert np.abs(got - want).max() < 1e-15
+            # B = Q = 1: one fine and one coarse table per class within the radius
+            assert sum(exp_sizes) <= 2 * len(x) * (len(V.classes) - 1)
+
+    @pytest.mark.parametrize("name, beta", [("courant", (1, 1)), ("courant2", (2, 2))])
+    def test_lines_exponentials_grow_like_root_radius(self, exp_sizes, name, beta):
+        # 2 npts (B + Q) per class, B = ceil(sqrt K) = 45 and Q = ceil(K / B) = 45
+        # at K = 2000, where one exponential per frequency is 2 npts K
+        V = preset(name)
+        x = sample_grid(2, 9)
+        radius = 2000
+        B = math.isqrt(radius - 1) + 1
+        Q = -(-radius // B)
+        monomial_error_series(V, beta, x, radius, mode="lines")
+        assert 0 < sum(exp_sizes) <= 2 * len(x) * (B + Q) * len(V.classes)
+
+    @pytest.mark.parametrize("radius", [-5, 0, 2.5, 3.0, True, "10"])
+    def test_radius_must_be_positive_integer(self, radius):
+        V = preset("courant")
+        x = sample_grid(2, 3)
+        for mode in ("auto", "cube", "lines"):
+            with pytest.raises(ValueError, match="positive integer"):
+                monomial_error_series(V, (1, 1), x, radius, mode=mode)
+        with pytest.raises(ValueError, match="positive integer"):
+            BernoulliSplineTerm(V.classes[0]).series(x, radius)
 
     def test_no_scalar_transform_calls(self, monkeypatch):
         calls = []

@@ -117,6 +117,15 @@ class TestLbeta:
         assert main(["lbeta", "--config", path]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["lines", "auto"])
+    def test_negative_radius_rejected(self, tmp_path, capsys, mode):
+        path = write_cfg(tmp_path, f"preset = courant\nbeta = [1, 1]\ngrid = 3\n"
+                                   f"series_radius = -5\nseries_mode = {mode}\n")
+        out = tmp_path / "lb.csv"
+        assert main(["lbeta", "--config", path, "--out", str(out)]) == 2
+        assert "error: series radius must be a positive integer" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_beta_rejected(self, tmp_path):
         path = write_cfg(tmp_path, "preset = haar\n")
         assert main(["lbeta", "--config", path]) == 2

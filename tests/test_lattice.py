@@ -237,6 +237,39 @@ class TestDirectionSet:
             assert preset(name).is_unimodular, name
         assert not preset("zp").is_unimodular
 
+    def test_unimodularity_takes_determinants_of_distinct_vectors(self, monkeypatch):
+        distinct = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 1, 1)]
+        V = DirectionSet(distinct * 2)
+        calls = []
+
+        def counting(rows):
+            calls.append(rows)
+            return echelon(rows)
+
+        monkeypatch.setattr(lattice, "_echelon", counting)
+        assert lattice.is_unimodular(V)
+        assert len(calls) == math.comb(6, 3)
+
+    def test_unimodularity_matches_every_subset(self):
+        # the definition over all d-subsets of all n vectors, repeats included
+        rng = np.random.default_rng(19)
+        seen = {True: 0, False: 0}
+        for d in (1, 2, 3):
+            found = 0
+            while found < 20:
+                pool = [tuple(int(v) for v in rng.integers(-2, 3, size=d)) for _ in range(d + 2)]
+                vecs = [pool[i] for i in rng.integers(len(pool), size=int(rng.integers(d + 1, d + 6)))]
+                if any(not any(v) for v in vecs) or len(set(vecs)) == len(vecs):
+                    continue
+                if np.linalg.matrix_rank(np.array(vecs, dtype=float)) < d:
+                    continue
+                found += 1
+                want = all(integer_det(rows) in (-1, 0, 1)
+                           for rows in itertools.combinations(vecs, d))
+                assert lattice.is_unimodular(vecs) == want, vecs
+                seen[want] += 1
+        assert seen[True] and seen[False]
+
 
 class TestHyperplaneClasses:
     def test_zp_rejected(self):
