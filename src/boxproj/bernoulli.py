@@ -272,7 +272,7 @@ def monomial_error_series(V, beta, x, radius: int, mode: str = "auto"):
     directions, so its coefficient is a structural zero; below the critical
     order every coefficient is, and the series is exactly 0).  'auto'
     switches to lines when the cube would be large.  radius must be a
-    positive integer.
+    positive integer, and x must hold at least one point.
 
     The frequencies are built as one array and weighed by one
     `transform_derivatives` call.  Cube mode drops the zero weights and
@@ -292,6 +292,8 @@ def monomial_error_series(V, beta, x, radius: int, mode: str = "auto"):
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = np.atleast_2d(x)
+    if len(pts) == 0:
+        raise ValueError("lattice series needs at least one point")
     acc = np.zeros(len(pts), dtype=complex)
     if mode == "auto":
         mode = "cube" if (2 * radius + 1) ** d <= 200_000 else "lines"

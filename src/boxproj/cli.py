@@ -222,7 +222,9 @@ def cmd_lbeta(cfg: ExperimentConfig, args) -> int:
     if beta.order > V.margin + 1:
         raise ConfigError("beta order exceeds margin + 1")
     radius = cfg.get("series_radius", 400)
-    count = int(cfg.number("grid", 17))
+    count = cfg.get("grid", 17)
+    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+        raise ConfigError(f"grid must be a positive integer, got {count!r}")
     mode = str(cfg.get("series_mode", "auto"))
     pts = quadrature.sample_grid(V.dimension, count)
     closed = error_expansion(V, beta).evaluate(pts)

@@ -2,10 +2,11 @@
 
 The projector solves the normal equations, a banded symmetric positive
 definite Gram system whose entries are shift autocorrelations of the
-spline, by conjugate gradients.  Everything is set up at mesh size h by
-rescaling; the coefficient field of the projection of f at mesh h equals
-that of f(h .) at mesh 1, so quadrature rules are precomputed once in
-lattice coordinates.
+spline, by conjugate gradients preconditioned with the inverse Gram
+symbol, without assembling a matrix.  Everything is set up at mesh size
+h by rescaling; the coefficient field of the projection of f at mesh h
+equals that of f(h .) at mesh 1, so quadrature rules are precomputed
+once in lattice coordinates.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.linalg import LinearOperator
 
 from .lattice import DirectionSet, _coerce
 from .boxspline import BoxSplineEvaluator
@@ -88,9 +90,11 @@ class SplineSpaceModel:
     of `cell_spline_table` at RULE_ORDER, and the Gram table contracted
     from it (equal to `autocorrelation_table`).  The spline table serves
     the Gram table, the right-hand sides of `project` and the error norms
-    of `error_norm`.  Nothing is derived from `gram` and kept: `matrix()`
-    lays it out afresh on each call, so an edit to `gram` takes effect at
-    the next `project`.
+    of `error_norm`.  Nothing is derived from `gram` and kept: `project`
+    derives its Gram stencil and symbol preconditioner from it on each
+    call, and `matrix()` (the explicit matrix, for the checks and the
+    tests) lays it out afresh on each call, so an edit to `gram` takes
+    effect at the next `project`.
     """
 
     V: DirectionSet
@@ -240,18 +244,103 @@ def _right_hand_sides(model: SplineSpaceModel, fv) -> np.ndarray:
     return b.ravel()
 
 
+def _smooth_length(n: int) -> int:
+    """The smallest integer at least n with no prime factor above 7."""
+    while True:
+        m = n
+        for p in (2, 3, 5, 7):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
+def _gram_symbol(gram, shape) -> np.ndarray:
+    """The Gram symbol sum_gamma a(gamma) cos(2 pi gamma.k / N) at the
+    frequencies k of the periodic grid `shape` = N, last axis halved as
+    `rfftn` returns it: the table wrapped onto the grid, transformed.
+    For an even table the transform is real; its real part is kept."""
+    wrapped = np.zeros(shape)
+    for gamma, a in gram.items():
+        wrapped[tuple(g % n for g, n in zip(gamma, shape))] += a
+    return np.fft.rfftn(wrapped).real
+
+
+def _normal_operators(model: SplineSpaceModel):
+    """The Gram operator of the window and its symbol preconditioner, both
+    derived from `model.gram` on this call.
+
+    The operator is the window-truncated stencil product
+    y[alpha] = sum_gamma a(gamma) c[alpha - gamma] over the alpha with
+    alpha and alpha - gamma in the window, the product with `matrix()`.
+    It is taken on the window embedded in zeros, `reach` = max |gamma_j|
+    deep on every side: there a shift by gamma is a shift of the C-order
+    flat array by gamma . strides that never wraps into the next row, so
+    each offset costs one contiguous multiply-add.
+
+    The preconditioner divides by the Gram symbol on a periodic grid of
+    N_j >= n_j + reach_j points per axis (7-smooth, for a fast FFT): so
+    large that the circulant of the table, restricted to the window, is
+    the Gram matrix itself, and the zero-padded inverse circulant is an
+    SPD approximate inverse that is exact away from the window's edges
+    (Strang 1986; Chan & Ng 1996).  The symbol is floored at GRAM_DROP
+    times its maximum, so that the preconditioner stays SPD where the
+    symbol touches zero (linearly dependent shifts).
+    """
+    shape = model.window_shape
+    n = model.unknowns
+    reach = np.max(np.abs(np.array(list(model.gram))), axis=0)
+    padded = tuple(int(k + 2 * r) for k, r in zip(shape, reach))
+    strides = np.cumprod((1,) + padded[:0:-1])[::-1]
+    inner = tuple(slice(int(r), int(r) + k) for r, k in zip(reach, shape))
+    lo = int(reach @ strides)
+    span = int(np.prod(padded)) - 2 * lo
+    shifts = [(a, lo - int(np.dot(gamma, strides))) for gamma, a in model.gram.items()]
+
+    def gram(c):
+        grown = np.zeros(padded)
+        grown[inner] = c.reshape(shape)
+        flat = grown.ravel()
+        y, term = np.zeros(flat.size), np.empty(span)
+        for a, start in shifts:
+            np.multiply(flat[start:start + span], a, out=term)
+            y[lo:lo + span] += term
+        return y.reshape(padded)[inner].ravel()
+
+    grid = tuple(_smooth_length(k + int(r)) for k, r in zip(shape, reach))
+    symbol = _gram_symbol(model.gram, grid)
+    symbol = np.maximum(symbol, GRAM_DROP * symbol.max())
+    axes = tuple(range(len(grid)))
+    window = tuple(slice(0, k) for k in shape)
+
+    def precondition(r):
+        z = np.fft.rfftn(r.reshape(shape), s=grid, axes=axes)
+        return np.fft.irfftn(z / symbol, s=grid, axes=axes)[window].ravel()
+
+    return (LinearOperator((n, n), matvec=gram, dtype=float),
+            LinearOperator((n, n), matvec=precondition, dtype=float))
+
+
 def project(model: SplineSpaceModel, f) -> CoefficientField:
     """Coefficients of the L2 projection of f onto the model's window.
 
     Right-hand sides are h^-d integral f B(./h - alpha), assembled by
     `_right_hand_sides` as a correlation of f, sampled once per node of
     the model's cell rule over the mesh cells the window's supports cover,
-    with the per-cell stencil of the model's spline table.  The Gram
-    matrix is symmetric positive definite with condition number at most
-    the symbol ratio of `gram_symbol_range`, so conjugate gradients on
-    `model.matrix()` converge in a few dozen iterations; the true relative
-    residual must come out below RESIDUAL_TOL.  A non-finite Gram entry or
-    right-hand side, and a solve that does not converge, raise SolverError.
+    with the per-cell stencil of the model's spline table.  The normal
+    equations are solved matrix-free by conjugate gradients on the Gram
+    stencil of `model.gram`, preconditioned by the inverse Gram symbol on
+    a zero-padded periodic grid (`_normal_operators`); both are derived on
+    every call.  The preconditioned system is well conditioned away from
+    the window's edges, so a solve takes a handful of iterations (one on a
+    window padded around a decaying f).  The Gram matrix is positive
+    definite when the shifts form a Riesz basis, and semidefinite when they
+    are linearly dependent (zp, whose symbol touches zero); the right-hand
+    side of a projection is then consistent and the solve still converges.
+    The true relative residual must come out below RESIDUAL_TOL.  A
+    non-finite Gram entry or right-hand side, and a solve that does not
+    converge, raise SolverError.
     """
     for gamma, a in model.gram.items():
         if not np.isfinite(a):
@@ -259,8 +348,8 @@ def project(model: SplineSpaceModel, f) -> CoefficientField:
     b = _right_hand_sides(model, _value_fn(f))
     if not np.all(np.isfinite(b)):
         raise SolverError("non-finite right-hand side: f is not finite on the window")
-    A = model.matrix()
-    c, info = spla.cg(A, b, rtol=RESIDUAL_TOL * 1e-2, atol=0.0)
+    A, M = _normal_operators(model)
+    c, info = spla.cg(A, b, rtol=RESIDUAL_TOL * 1e-2, atol=0.0, M=M)
     if info != 0:
         raise SolverError(f"conjugate gradients did not converge in {info} iterations")
     if not np.all(np.isfinite(c)):
@@ -399,16 +488,13 @@ def residual_orthogonality(f, model: SplineSpaceModel, coeffs: CoefficientField,
 
 def gram_symbol_range(V) -> tuple[float, float]:
     """Min and max of the Gram symbol sum_gamma a(gamma) cos(2 pi gamma.w),
-    over SYMBOL_GRID points per axis of the unit cell of frequencies w.
+    over SYMBOL_GRID points per axis of the unit cell of frequencies w:
+    the `_gram_symbol` of the table on that grid, the symbol `project`
+    preconditions with.
 
     A positive minimum certifies the shifts form a Riesz basis, hence the
     normal equations are uniformly well posed.
     """
     V = _coerce(V)
-    table = autocorrelation_table(V)
-    d = V.dimension
-    w = quadrature.product_grid([np.linspace(0.0, 1.0, SYMBOL_GRID, endpoint=False)] * d)
-    sym = np.zeros(len(w))
-    for gamma, a in table.items():
-        sym += a * np.cos(2.0 * np.pi * (w @ np.array(gamma, dtype=float)))
+    sym = _gram_symbol(autocorrelation_table(V), (SYMBOL_GRID,) * V.dimension)
     return float(sym.min()), float(sym.max())

@@ -173,7 +173,9 @@ class Monomial(TestFunction):
         A factor of 1 is skipped, which is exact: a zero remaining
         exponent costs nothing, where pow(x, 0) would call libm on every
         point.  Exponent 1 is the column and 2 is x * x, both bitwise what
-        pow gives; 3 and up keep np.power.
+        pow gives; k >= 3 is the left-to-right product of k columns, one
+        rounding per product, within k - 2 ulp of np.power and far
+        cheaper than its libm call.
         """
         beta = self._index(beta)
         pts, single = _split_points(x, self.dim)
@@ -187,7 +189,9 @@ class Monomial(TestFunction):
                     out = np.full(len(pts), float(coef)) if out is None else out * coef
                 k, col = ej - bj, pts[:, j]
                 if k:
-                    power = col if k == 1 else col * col if k == 2 else np.power(col, k)
+                    power = col if k == 1 else col * col
+                    for _ in range(k - 2):
+                        power *= col
                     if out is None:
                         out = power.copy() if k == 1 else power
                     else:

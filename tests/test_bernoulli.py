@@ -318,6 +318,12 @@ class TestBatchedSeries:
         with pytest.raises(ValueError, match="positive integer"):
             BernoulliSplineTerm(V.classes[0]).series(x, radius)
 
+    def test_empty_point_set_rejected(self):
+        V = preset("courant")
+        for mode in ("auto", "cube", "lines"):
+            with pytest.raises(ValueError, match="at least one point"):
+                monomial_error_series(V, (1, 1), np.zeros((0, 2)), 50, mode=mode)
+
     def test_no_scalar_transform_calls(self, monkeypatch):
         calls = []
         real = boxspline.transform_derivative

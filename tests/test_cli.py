@@ -126,6 +126,17 @@ class TestLbeta:
         assert "error: series radius must be a positive integer" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("grid", ["0", "-3", "2.5", "true"])
+    def test_grid_must_be_positive_integer(self, tmp_path, capsys, grid):
+        # grid = 0 and -3 used to die in the series on an empty point set
+        # (ZeroDivisionError), and 2.5 ran a 2-per-axis grid
+        path = write_cfg(tmp_path, f"preset = courant\nbeta = [1, 1]\ngrid = {grid}\n"
+                                   f"series_radius = 50\n")
+        out = tmp_path / "lb.csv"
+        assert main(["lbeta", "--config", path, "--out", str(out)]) == 2
+        assert "error: grid must be a positive integer" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_beta_rejected(self, tmp_path):
         path = write_cfg(tmp_path, "preset = haar\n")
         assert main(["lbeta", "--config", path]) == 2

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from boxproj import (
     BoxSplineEvaluator,
@@ -22,7 +23,7 @@ from boxproj import (
 )
 from boxproj import quadrature
 from boxproj.checks import _doubled_autocorrelation
-from boxproj.projection import _right_hand_sides, cell_spline_table
+from boxproj.projection import _normal_operators, _right_hand_sides, cell_spline_table
 from boxproj.testfunctions import gaussian, monomial
 
 THREE_D = DirectionSet(((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)))
@@ -544,6 +545,15 @@ def _reference_matrix(m):
     ).tocsr()
 
 
+def _assert_stencil_is_matrix(m, rng):
+    """The Gram operator `project` solves with is `matrix()`, to roundoff."""
+    A, _ = _normal_operators(m)
+    for _ in range(3):
+        c = rng.standard_normal(m.unknowns)
+        want = m.matrix() @ c
+        assert np.abs(A @ c - want).max() <= 1.1e-15 * np.abs(want).max()
+
+
 def _assert_same_csr(got, want):
     assert got.shape == want.shape
     assert np.array_equal(got.indptr, want.indptr)
@@ -552,17 +562,22 @@ def _assert_same_csr(got, want):
 
 
 class TestMatrix:
-    @pytest.mark.parametrize("name", ["haar", "bspline(3)", "tensor(1,1)", "tensor(2,2)",
-                                      "courant", "courant2", "zp", "3d"])
+    @pytest.mark.parametrize("name", ["haar", "bspline(2)", "bspline(3)", "tensor(1,1)",
+                                      "tensor(2,2)", "courant", "courant2", "zp", "3d"])
     def test_matches_coo_reference(self, name):
+        # and the stencil operator of `project` matches the matrix, also
+        # after an edit to the table
+        rng = np.random.default_rng(7)
         V = THREE_D if name == "3d" else preset(name)
         d = V.dimension
         m = build_model(V, 0.5 if name == "3d" else 0.25,
                         box=(np.full(d, -1.0), np.full(d, 1.0)))
         _assert_same_csr(m.matrix(), _reference_matrix(m))
+        _assert_stencil_is_matrix(m, rng)
         gamma = max(m.gram)
         m.gram[gamma] = m.gram[gamma] + 1e-3
         _assert_same_csr(m.matrix(), _reference_matrix(m))
+        _assert_stencil_is_matrix(m, rng)
 
     def test_coinciding_flat_offsets(self):
         # on a window barely wider than the support, offsets (0, 3) and
@@ -572,6 +587,73 @@ class TestMatrix:
         flat = [np.dot(g, strides) for g in m.gram]
         assert len(set(flat)) < len(flat)
         _assert_same_csr(m.matrix(), _reference_matrix(m))
+        _assert_stencil_is_matrix(m, np.random.default_rng(8))
+
+
+class TestNormalOperators:
+    """`project` solves with the Gram stencil and the inverse-symbol
+    preconditioner of `_normal_operators`, never with `matrix()`; the
+    stencil is checked against `matrix()` in `TestMatrix`."""
+
+    @pytest.mark.parametrize("name", ["bspline(3)", "tensor(2,2)", "courant2", "3d"])
+    def test_preconditioner_inverts_away_from_edges(self, name):
+        # the padded grid is wide enough that the circulant of the table,
+        # restricted to the window, is the Gram matrix: on coefficients
+        # that stay a table reach away from every edge, M A is the identity
+        V = THREE_D if name == "3d" else preset(name)
+        d = V.dimension
+        m = build_model(V, 0.5 if name == "3d" else 0.25,
+                        box=(np.full(d, -1.0), np.full(d, 1.0)))
+        A, M = _normal_operators(m)
+        reach = np.max(np.abs(np.array(list(m.gram))), axis=0)
+        c = np.zeros(m.window_shape)
+        inner = tuple(slice(r, k - r) for r, k in zip(reach, m.window_shape))
+        c[inner] = np.random.default_rng(9).standard_normal(c[inner].shape)
+        assert np.abs(M @ (A @ c.ravel()) - c.ravel()).max() <= 1e-13
+
+    @staticmethod
+    def _iterations(monkeypatch, m, f):
+        counted = []
+        real = spla.cg
+
+        class Counting:
+            @staticmethod
+            def cg(*args, **kwargs):
+                return real(*args, callback=lambda x: counted.append(1), **kwargs)
+
+        monkeypatch.setattr("boxproj.projection.spla", Counting())
+        coeffs = project(m, f)
+        return len(counted), coeffs
+
+    def test_iterations_on_a_polynomial(self, monkeypatch):
+        # criterion 5's courant2 window: 94-98 iterations without the
+        # preconditioner, 16-17 with it
+        m = build_model(preset("courant2"), 1 / 32, box=(np.full(2, -2.0), np.full(2, 2.0)))
+        iterations, coeffs = self._iterations(monkeypatch, m, Polynomial())
+        assert iterations <= 20
+        assert coeffs.residual <= 1e-12
+
+    @pytest.mark.parametrize("name", ["tensor(1,1)", "tensor(2,2)", "courant"])
+    @pytest.mark.parametrize("scale", [0.8, 1.25])
+    def test_iterations_on_a_padded_gaussian(self, monkeypatch, name, scale):
+        # a window padded around a decaying f sees no edge: one or two
+        # iterations (23-36 on tensor(2,2) and courant without the
+        # preconditioner)
+        f = gaussian(2, scale)
+        m = build_model(preset(name), 1 / 4, f)
+        iterations, _ = self._iterations(monkeypatch, m, f)
+        assert iterations <= 2
+
+    @pytest.mark.parametrize("h", [1 / 8, 1 / 16])
+    def test_semidefinite_system_of_dependent_shifts(self, h):
+        # zp's shifts are linearly dependent (symbol minimum ~3e-17), so its
+        # Gram matrix is singular up to roundoff; a projection's right-hand
+        # side is consistent, and the floored symbol keeps the
+        # preconditioner positive definite (residuals measured <= 8e-16)
+        f = gaussian(2, 1.0)
+        m = build_model(preset("zp"), h, f)
+        coeffs = project(m, f)
+        assert coeffs.residual <= 1e-14
 
 
 class TestSampleLayout:
