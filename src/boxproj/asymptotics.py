@@ -61,18 +61,21 @@ def sobolev_product_norm(f, vectors, p: float = 2.0) -> float:
     return float(np.dot(wts, np.abs(vals) ** p))
 
 
-def _ridge_cell_table(V):
+def _ridge_cell_table(V, order: int):
     """The ridge terms of V and their values on one lattice cell.
 
     Returns (terms, B, weights): B[x, U] is term U at node x of the unit
-    cell rule of order INNER_ORDER, which is cut along every class and
-    Bernoulli-root hyperplane so that products of terms are integrated
-    exactly in any dimension (about 1.8 million nodes in 3-D).
+    cell rule of the given Gauss order, which is cut along every class and
+    Bernoulli-root hyperplane, so that each term is one polynomial of
+    degree k = margin + 1 on each simplex of the rule.  A product of two
+    terms then has degree 2k, which the collapsed rule of order q
+    integrates exactly when 2q >= 2k + d: from order k + 2 on through
+    dimension 4.  At INNER_ORDER the 3-D rule has about 1.8 million nodes.
     """
     d = V.dimension
     terms = [BernoulliSplineTerm(cls) for cls in V.classes]
     cuts = [ridge_cut(t.hyperplane.alpha, t.degree) for t in terms]
-    pts, wts = quadrature.cell_rule([0.0] * d, [1.0] * d, cuts, INNER_ORDER)
+    pts, wts = quadrature.cell_rule([0.0] * d, [1.0] * d, cuts, order)
     B = np.stack([t.evaluate(pts) for t in terms], axis=-1)
     return terms, B, wts
 
@@ -83,7 +86,7 @@ def error_constant(f, V, p: float) -> float:
     Inner integral over one lattice cell of |sum of ridge terms|^p; outer
     integral over t of the class derivatives of f.  The inner cell is cut
     along every class and Bernoulli-root hyperplane, which makes the p = 2
-    case exact in any dimension; odd p with several classes has a curved
+    case exact through dimension 4; odd p with several classes has a curved
     zero set that is not cut, so expect quadrature error there rather than
     machine precision.
 
@@ -91,8 +94,10 @@ def error_constant(f, V, p: float) -> float:
     over class pairs, with G_D = D^T diag(w_t) D and G_B = B^T diag(w_x) B
     the Gram matrices of the class derivatives and of the ridge terms on
     the same nodes.  The cross terms are kept, so this measures the
-    orthogonality that `error_constant_l2` assumes.  Other p sum
-    |D B^T|^p directly, CHUNK_ROWS outer nodes at a time; in 3-D one such
+    orthogonality that `error_constant_l2` assumes.  G_B is taken on the
+    cell rule of order k + 2 (k = margin + 1), on which it is exact.
+    Other p sum |D B^T|^p, which is no polynomial, directly on the rule of
+    order INNER_ORDER, CHUNK_ROWS outer nodes at a time; in 3-D one such
     block would take about 30 GB, so p other than 2 above dimension 2
     raises `UnsupportedDimensionError` at entry.  p below 1 or not finite
     raises ValueError.
@@ -103,7 +108,7 @@ def error_constant(f, V, p: float) -> float:
         raise UnsupportedDimensionError(
             f"p = {p} sums |D B^T|^p over the 1.8 million nodes of the 3-D cell rule, about "
             f"30 GB per {CHUNK_ROWS} outer nodes; above dimension 2 only p = 2 is supported")
-    terms, B, xwts = _ridge_cell_table(V)
+    terms, B, xwts = _ridge_cell_table(V, V.margin + 3 if p == 2 else INNER_ORDER)
     tpts, twts = _outer_rule(f, OUTER_ORDER)
     D = np.stack(
         [directional_derivative(f, t.hyperplane.members, tpts) for t in terms], axis=-1
@@ -174,7 +179,7 @@ def norm_equivalence_constants(V, p: float, samples: int = 4000) -> tuple[float,
         raise UnsupportedDimensionError(
             f"{samples} samples at each of the 1.8 million nodes of the 3-D cell rule are too "
             "many; norm_equivalence_constants needs dimension 1 or 2")
-    terms, B, wts = _ridge_cell_table(V)
+    terms, B, wts = _ridge_cell_table(V, INNER_ORDER)
     powers = (np.abs(B) ** p).T @ wts
     rng = np.random.default_rng(SAMPLE_SEED)
     A = rng.normal(size=(samples, len(terms)))

@@ -167,7 +167,8 @@ def build_model(V, h: float, f=None, padding: int | None = None, box=None) -> Sp
     default padding is three support diameters.  The spline is evaluated
     once, for the cell table, and the Gram table is contracted from it.
     A mesh size that is not finite and positive, a negative padding, or a
-    box whose dimension is not that of V raises ValueError.
+    box whose dimension is not that of V, that is reversed on some axis
+    or has a corner that is not finite, raises ValueError.
     """
     h = float(h)
     if not (np.isfinite(h) and h > 0.0):
@@ -202,19 +203,20 @@ def build_model(V, h: float, f=None, padding: int | None = None, box=None) -> Sp
     )
 
 
-def _cell_samples(fv, h: float, cells: np.ndarray, nodes: np.ndarray):
-    """f at the nodes h (m + y_l) of the integer cells m, in batches of
-    about quadrature.SAMPLE_CHUNK nodes.  Yields (start, values) with
-    values[i, l] = f(h (cells[start + i] + nodes[l])).  Each batch of
-    points is the `quadrature.tile_points` of the cell rule's nodes
-    scaled by h in place: f receives an (n, d) float view of a (d, n)
-    block, with contiguous columns, and must not assume C order."""
-    step = max(1, quadrature.SAMPLE_CHUNK // len(nodes))
-    for start in range(0, len(cells), step):
-        m = cells[start:start + step]
-        pts = quadrature.tile_points(nodes, m)
-        pts *= h
-        yield start, np.asarray(fv(pts), dtype=float).reshape(len(m), len(nodes))
+def _cell_samples(fv, h: float, nodes: np.ndarray, lo, shape):
+    """f at the nodes h (m + y_l) of the integer cells lo <= m < lo + shape,
+    in the batches of `quadrature.box_batches`.  Yields (start, values)
+    with values[i, l] = f(h (m_i + nodes[l])), m_i the cell of flat C-order
+    index start + i.  f receives an (n, d) float view of a (d, n) block,
+    with contiguous columns, and must not assume C order; the values must
+    be used before the next batch is asked for, since they may be a view
+    of that block."""
+    axes = [np.arange(a, a + k, dtype=float) for a, k in zip(lo, shape)]
+    start = 0
+    for pts in quadrature.box_batches(nodes, axes, h):
+        vals = np.asarray(fv(pts), dtype=float).reshape(-1, len(nodes))
+        yield start, vals
+        start += len(vals)
 
 
 def _right_hand_sides(model: SplineSpaceModel, fv) -> np.ndarray:
@@ -232,10 +234,9 @@ def _right_hand_sides(model: SplineSpaceModel, fv) -> np.ndarray:
     lo = support.min(axis=0)
     shape = np.array(model.window_shape)
     grown = shape + support.max(axis=0) - lo
-    cells = quadrature.box_cells(model.window_lo + lo, model.window_lo + lo + grown)
     stencil = (table * weights).T
-    F = np.empty((len(cells), len(offsets)))
-    for start, vals in _cell_samples(fv, model.h, cells, nodes):
+    F = np.empty((int(np.prod(grown)), len(offsets)))
+    for start, vals in _cell_samples(fv, model.h, nodes, model.window_lo + lo, grown):
         F[start:start + len(vals)] = vals @ stencil
     F = F.reshape(tuple(grown) + (len(offsets),))
     b = np.zeros(model.window_shape)
@@ -340,7 +341,9 @@ def project(model: SplineSpaceModel, f) -> CoefficientField:
     side of a projection is then consistent and the solve still converges.
     The true relative residual must come out below RESIDUAL_TOL.  A
     non-finite Gram entry or right-hand side, and a solve that does not
-    converge, raise SolverError.
+    converge, raise SolverError.  f is called on batches of points that
+    share one buffer (`quadrature.box_batches`): it must not modify its
+    argument, nor keep it after it returns.
     """
     for gamma, a in model.gram.items():
         if not np.isfinite(a):
@@ -404,10 +407,15 @@ def spline_values(model: SplineSpaceModel, coeffs: CoefficientField, x) -> np.nd
 
 def _box_corners(box, dim: int, what: str) -> tuple[np.ndarray, np.ndarray]:
     """The corners of a box as float arrays; ValueError unless both have
-    `dim` coordinates."""
+    `dim` finite coordinates and lo <= hi on every axis (a box of zero
+    width is a box)."""
     lo, hi = (np.atleast_1d(np.asarray(c, dtype=float)) for c in box)
     if lo.shape != (dim,) or hi.shape != (dim,):
         raise ValueError(f"{what} corners of shapes {lo.shape}, {hi.shape} in dimension {dim}")
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise ValueError(f"{what} corners {lo.tolist()}, {hi.tolist()} are not finite")
+    if np.any(lo > hi):
+        raise ValueError(f"{what} is reversed: lo {lo.tolist()} above hi {hi.tolist()} on some axis")
     return lo, hi
 
 
@@ -430,7 +438,10 @@ def error_norm(f, model: SplineSpaceModel, coeffs: CoefficientField, p: float,
     `order` (at p != 2 the integrand is not piecewise polynomial, so a
     higher order shrinks the rule's error); the box spline is never
     evaluated per node.  An exponent p below 1 or not finite, or a domain
-    whose dimension is not the model's, raises ValueError.
+    whose dimension is not the model's, that is reversed on some axis or
+    has a corner that is not finite, raises ValueError.  f is sampled as
+    in `project`: it must not modify its argument, nor keep it after it
+    returns.
     """
     _check_exponent(p)
     fv = _value_fn(f)
@@ -442,17 +453,16 @@ def error_norm(f, model: SplineSpaceModel, coeffs: CoefficientField, p: float,
         domain = box
     dlo, dhi = _box_corners(domain, d, "domain")
     mlo = np.floor(dlo / h).astype(int)
-    mhi = np.ceil(dhi / h).astype(int)
+    shape = np.ceil(dhi / h).astype(int) - mlo
     if order == RULE_ORDER:
         nodes, weights, offsets, table = model.cell_table
     else:
         nodes, weights, offsets, table = cell_spline_table(model.evaluator, order)
-    cells = quadrature.box_cells(mlo, mhi)
     wlo = np.array(coeffs.window_lo)
     dims = np.array(coeffs.values.shape)
     power = 0.0
-    for start, fvals in _cell_samples(fv, h, cells, nodes):
-        m = cells[start:start + len(fvals)]
+    for start, fvals in _cell_samples(fv, h, nodes, mlo, shape):
+        m = mlo + np.stack(np.unravel_index(np.arange(start, start + len(fvals)), shape), axis=1)
         gathered = np.zeros((len(m), len(offsets)))
         for j, delta in enumerate(offsets):
             idx = m + delta - wlo

@@ -214,6 +214,45 @@ def tile_rule(pts, wts, origins):
     return tile_points(pts, origins), np.tile(wts, len(origins))
 
 
+def box_batches(nodes, axes, scale=None):
+    """One cell rule's nodes in every cell of a box, in batches.
+
+    The cells are the Cartesian product of the 1-D arrays `axes` in C
+    order: axes[j] holds the cell origins along axis j.  Node y_l of the
+    cell with origin o is the point (o + y_l) * scale, or o + y_l without a
+    scale.  Each batch holds SAMPLE_CHUNK // n whole cells of n nodes (the
+    last batch fewer), so a batch starts and ends anywhere in a row of the
+    last axis.  It comes as the (k n, d) float view of one C-contiguous
+    (d, k n) block: the points of `tile_points` over those cells, scaled,
+    bit for bit.
+
+    Nothing is added or scaled per point.  Per call, axis j gets the table
+    (axes[j] + y_j) * scale of every origin along it against every node;
+    a batch copies, for each axis, the table row of each of its cells.
+    The block is reused: a batch is overwritten by the next, so the caller
+    must be done with it, and with any view of it that it made, before
+    asking for the next.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    n, d = nodes.shape
+    tables = [np.add.outer(np.asarray(a, dtype=float), nodes[:, j]) for j, a in enumerate(axes)]
+    if scale is not None:
+        for table in tables:
+            table *= scale
+    shape = tuple(len(table) for table in tables)
+    total = int(np.prod(shape))
+    step = max(1, SAMPLE_CHUNK // n)
+    buffer = np.empty(d * n * min(step, total))
+    for start in range(0, total, step):
+        stop = min(start + step, total)
+        block = buffer[:d * n * (stop - start)].reshape(d, stop - start, n)
+        for j, index in enumerate(np.unravel_index(np.arange(start, stop), shape)):
+            # the indices are in range: "clip" only spares the copy of `out`
+            # that the default mode makes
+            np.take(tables[j], index, axis=0, out=block[j], mode="clip")
+        yield block.reshape(d, -1).T
+
+
 def integrate(f, lo, hi, *, cuts=(), order: int = 12, spacing=None):
     """Integrate f over the box [lo, hi].
 
@@ -222,8 +261,10 @@ def integrate(f, lo, hi, *, cuts=(), order: int = 12, spacing=None):
     assumes the cut pattern is cell-periodic.  f maps (m, d) arrays to
     (m,) values and may return complex; it is called on about
     SAMPLE_CHUNK nodes at a time.  With `spacing` those arrays are the
-    (m, d) float views of `tile_points`, whose columns are contiguous; f
-    must not assume C order.
+    batches of `box_batches`, (m, d) float views with contiguous columns,
+    over the cell origins lo + spacing * m; f must not assume C order.  f
+    must not modify its argument, nor keep it after it returns: the next
+    batch is written into the same memory.
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
@@ -236,12 +277,11 @@ def integrate(f, lo, hi, *, cuts=(), order: int = 12, spacing=None):
     if np.any(np.abs(lo + counts * spacing - hi) > 1e-9 * max(1.0, spacing)):
         raise ValueError("box is not an integer number of cells")
     base_pts, base_wts = cell_rule([0.0] * d, [spacing] * d, cuts, order)
-    origins = lo + spacing * box_cells(np.zeros(d, dtype=int), counts)
+    axes = [lo[j] + spacing * np.arange(counts[j]) for j in range(d)]
+    wts = np.tile(base_wts, max(1, SAMPLE_CHUNK // len(base_wts)))
     total = 0.0
-    cells_per_chunk = max(1, SAMPLE_CHUNK // max(1, len(base_wts)))
-    for start in range(0, len(origins), cells_per_chunk):
-        pts, wts = tile_rule(base_pts, base_wts, origins[start:start + cells_per_chunk])
-        total = total + _accumulate(f, pts, wts)
+    for pts in box_batches(base_pts, axes):
+        total = total + _accumulate(f, pts, wts[:len(pts)])
     return total
 
 

@@ -7,8 +7,9 @@ which keeps arbitrary orders exact (up to floating point) without any
 symbolic machinery.
 
 Points arrive as (n, d) arrays.  On the sampling path they are the
-column-contiguous views of `quadrature.tile_points`, so every family reads
-them one coordinate at a time, pts[:, j], and never reduces across a row.
+column-contiguous batches of `quadrature.box_batches`, so every family
+reads them one coordinate at a time, pts[:, j], and never reduces across
+a row.
 """
 
 from __future__ import annotations

@@ -173,6 +173,15 @@ class TestProject:
         assert main(["project", "--config", path]) == 2
         assert "error: box corners of shapes (2,), (2,) in dimension 1" in capsys.readouterr().err
 
+    def test_reversed_domain_exits_2(self, tmp_path, capsys):
+        # a reversed domain used to print error_norm = 0 and exit 0
+        path = write_cfg(tmp_path, "preset = courant\nfunction = gaussian\nh = 1/2\n"
+                                   "domain = [[1, 1], [-1, -1]]\n")
+        assert main(["project", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert "error: domain is reversed" in captured.err
+        assert "error_norm" not in captured.out
+
     def test_solver_error_is_reported(self, tmp_path, capsys, monkeypatch):
         def fail(model, f):
             raise SolverError("relative residual 1.000e-03 above 1e-12")

@@ -279,6 +279,19 @@ class TestProjection:
         with pytest.raises(ValueError, match="dimension 1"):
             build_model(preset("bspline(2)"), 0.5, box=(np.zeros(2), np.ones(2)))
 
+    @pytest.mark.parametrize("lo, hi", [([1.0, 1.0], [-5.0, -5.0]), ([0.0, 1.0], [1.0, 0.5]),
+                                        ([np.nan, 0.0], [1.0, 1.0]), ([0.0, 0.0], [np.inf, 1.0]),
+                                        ([-np.inf, 0.0], [1.0, 1.0])])
+    def test_reversed_or_non_finite_box_rejected(self, lo, hi):
+        # a reversed box used to build a negative window shape, and an
+        # infinite corner a shape whose negative product passed the cap
+        with pytest.raises(ValueError, match="reversed|not finite"):
+            build_model(preset("courant"), 0.25, box=(lo, hi))
+
+    def test_zero_width_box_accepted(self):
+        m = build_model(preset("courant"), 0.25, box=([0.5, 0.5], [0.5, 0.5]), padding=0)
+        assert min(m.window_shape) >= 1
+
     def test_spline_values_points_of_other_dimension_rejected(self):
         g = gaussian(1, 1.0)
         m = build_model(preset("bspline(2)"), 0.5, g)
@@ -334,6 +347,24 @@ class TestErrorNorm:
         c = project(m, g)
         with pytest.raises(ValueError, match="dimension 1"):
             error_norm(g, m, c, 2.0, domain=(np.zeros(2), np.ones(2)))
+
+    @pytest.mark.parametrize("lo, hi", [([1.0, 1.0], [-1.0, -1.0]), ([np.nan, 0.0], [1.0, 1.0]),
+                                        ([0.0, 0.0], [1.0, np.inf])])
+    def test_reversed_or_non_finite_domain_rejected(self, lo, hi):
+        # a reversed domain used to give (0.0, 0.0)
+        g = gaussian(2, 1.0)
+        m = build_model(preset("courant"), 0.5, g)
+        c = project(m, g)
+        with pytest.raises(ValueError, match="reversed|not finite"):
+            error_norm(g, m, c, 2.0, domain=(lo, hi))
+
+    def test_zero_width_domain_is_one_cell_or_none(self):
+        g = gaussian(1, 1.0)
+        m = build_model(preset("bspline(2)"), 0.5, g)
+        c = project(m, g)
+        assert error_norm(g, m, c, 2.0, domain=([1.0], [1.0])) == (0.0, 0.0)
+        one_cell = error_norm(g, m, c, 2.0, domain=([0.5], [1.0]))
+        assert error_norm(g, m, c, 2.0, domain=([0.75], [0.75])) == one_cell
 
     @pytest.mark.parametrize("p", [0.0, 0.5, -1.0, np.inf, np.nan])
     def test_exponent_below_one_or_not_finite_rejected(self, p):
@@ -715,6 +746,19 @@ class TestSampleLayout:
         error_norm(f, m, project(m, f), 2.0)
         error_norm(f, m, project(m, f), 3.0, order=12)
         assert calls == []
+
+    def test_f_returning_a_view_of_its_argument(self):
+        # each batch is written into the memory of the one before, so the
+        # values of an f that returns a view of its points are used up first
+        V = preset("courant")
+        m = build_model(V, 0.25, box=(np.full(2, -1.0), np.full(2, 1.0)))
+        view, copy = (lambda X: X[:, 0]), (lambda X: X[:, 0].copy())
+        assert np.array_equal(_right_hand_sides(m, view), _right_hand_sides(m, copy))
+        c = project(m, copy)
+        assert np.array_equal(project(m, view).values, c.values)
+        box = (np.full(2, -1.0), np.full(2, 1.0))
+        for p in (2.0, 3.0):
+            assert error_norm(view, m, c, p, domain=box) == error_norm(copy, m, c, p, domain=box)
 
     @pytest.mark.parametrize("name", ["tensor(1,1)", "courant", "3d"])
     def test_tiled_integrate(self, name):

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from boxproj import BoxSplineEvaluator, DirectionSet, preset
+from boxproj import BoxSplineEvaluator, DirectionSet, preset, quadrature
 from boxproj.asymptotics import _ridge_cell_table
 from boxproj.bernoulli import INNER_ORDER
 from boxproj.projection import RULE_ORDER
 from boxproj.quadrature import (
     CutFamily,
+    box_batches,
+    box_cells,
     cell_rule,
     integrate,
     sample_grid,
@@ -95,7 +97,7 @@ class TestCellRule:
             cuts = BoxSplineEvaluator(V).quadrature_cuts(spacing)
             nodes, wts = cell_rule([0.0] * d, [spacing] * d, cuts, order=order)
         else:
-            _, nodes, wts = _ridge_cell_table(V)  # term values, one row per node
+            _, nodes, wts = _ridge_cell_table(V, order)  # term values, one row per node
         assert len(wts) == len(nodes) == order ** d * pieces
         assert (wts > 0).all()
         assert abs(wts.sum() - spacing ** d) < 1e-14
@@ -167,3 +169,96 @@ class TestTileRule:
         assert np.array_equal(tiled_pts, tile_points(pts, origins))
         assert tiled_pts.T.flags.c_contiguous
         assert np.array_equal(tiled_wts, np.tile(wts, len(origins)))
+
+
+def _knot_nodes(name):
+    V = THREE_D if name == "3d" else preset(name)
+    d = V.dimension
+    return cell_rule([0.0] * d, [1.0] * d, BoxSplineEvaluator(V).quadrature_cuts(1.0), order=4)
+
+
+class TestBoxBatches:
+    """box_batches writes the points of tile_points over the box, scaled,
+    bit for bit, in batches of SAMPLE_CHUNK // n whole cells."""
+
+    @staticmethod
+    def _batches(nodes, lo, hi, scale):
+        axes = [np.arange(a, b) for a, b in zip(lo, hi)]
+        out = []
+        for X in box_batches(nodes, axes, scale):
+            assert X.T.flags.c_contiguous and X.dtype == np.float64
+            out.append(X.copy())
+        return out
+
+    @staticmethod
+    def _reference(nodes, lo, hi, scale):
+        pts = tile_points(nodes, box_cells(lo, hi))
+        pts *= scale
+        return pts
+
+    @pytest.mark.parametrize("name, lo, hi", [
+        ("bspline(3)", [-70], [45]),
+        ("bspline(3)", [3], [4]),
+        ("courant", [-3, 2], [5, 9]),
+        ("courant", [0, 0], [1, 1]),
+        ("3d", [-1, 0, 2], [2, 3, 6]),
+        ("3d", [4, 4, 4], [5, 5, 5]),
+    ])
+    @pytest.mark.parametrize("chunk", [quadrature.SAMPLE_CHUNK, 209])
+    def test_bitwise_tile_points(self, monkeypatch, name, lo, hi, chunk):
+        # the small chunk makes batches of 52 cells of 4 nodes in a 1-D row
+        # of 115, of 6 courant cells of 32 nodes in rows of 7 (starting and
+        # ending mid-row), and of one 3-D cell of 384 nodes, more than the chunk
+        nodes, _ = _knot_nodes(name)
+        monkeypatch.setattr(quadrature, "SAMPLE_CHUNK", chunk)
+        h = 0.3
+        got = self._batches(nodes, lo, hi, h)
+        step = max(1, chunk // len(nodes))
+        cells = int(np.prod(np.subtract(hi, lo)))
+        assert [len(X) for X in got] == [
+            min(step, cells - s) * len(nodes) for s in range(0, cells, step)]
+        assert np.array_equal(np.concatenate(got), self._reference(nodes, lo, hi, h))
+
+    def test_rows_longer_than_a_batch(self, monkeypatch):
+        nodes, _ = _knot_nodes("courant")
+        monkeypatch.setattr(quadrature, "SAMPLE_CHUNK", 5 * len(nodes))
+        lo, hi = [-2, -9], [1, 8]  # rows of 17 cells, batches of 5
+        got = self._batches(nodes, lo, hi, 0.125)
+        assert len(got) == 11 and len(got[-1]) == len(nodes)
+        assert np.array_equal(np.concatenate(got), self._reference(nodes, lo, hi, 0.125))
+
+    def test_without_scale_adds_the_origins(self):
+        nodes, _ = _knot_nodes("courant")
+        axes = [np.array([-1.5, 0.25, 7.0]), np.array([0.1, 0.2])]
+        (got,) = [X.copy() for X in box_batches(nodes, axes)]
+        origins = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+        assert np.array_equal(got, tile_points(nodes, origins))
+
+    def test_empty_box(self):
+        nodes, _ = _knot_nodes("courant")
+        assert list(box_batches(nodes, [np.arange(3), np.arange(0)], 0.5)) == []
+
+    @pytest.mark.parametrize("name", ["bspline(3)", "courant", "3d"])
+    def test_integrate_origins(self, monkeypatch, name):
+        # integrate(spacing=) samples the cells lo + spacing * m and sums each
+        # batch against the tiled weights, as it did per tiled batch before
+        monkeypatch.setattr(quadrature, "SAMPLE_CHUNK", 1000)
+        V = THREE_D if name == "3d" else preset(name)
+        d = V.dimension
+        spacing = 0.3
+        lo = np.linspace(-1.1, 0.4, d)
+        counts = np.array([4, 3, 2][:d])
+        cuts = BoxSplineEvaluator(V).quadrature_cuts(spacing)
+        nodes, wts = cell_rule([0.0] * d, [spacing] * d, cuts, 5)
+        f = lambda X: np.exp(-(X * X).sum(axis=1))
+        seen = []
+        got = integrate(lambda X: seen.append(X.copy()) or f(X), lo, lo + spacing * counts,
+                        cuts=cuts, order=5, spacing=spacing)
+        pts = tile_points(nodes, lo + spacing * box_cells(np.zeros(d, dtype=int), counts))
+        assert np.array_equal(np.concatenate(seen), pts)
+        step = 1000 // len(nodes) * len(nodes)
+        want = 0.0
+        for s in range(0, len(pts), step):
+            X = pts[s:s + step]
+            want = want + np.dot(np.tile(wts, len(X) // len(nodes)), f(X))
+        assert got == want
