@@ -144,20 +144,14 @@ def error_constant_l2(f, V) -> float:
 def _extrapolate(ladder, ratios) -> float:
     """Limit of the ratio sequence as h -> 0.
 
-    The correction order is not known a priori (geometric ladders show
-    anything from O(h) to O(h^2) depending on symmetry), so with three or
-    more rungs an Aitken delta-squared step estimates it from the data;
-    with two, or without geometric decay, a first-order model is assumed.
+    The ratio expands in even powers of h: the spline space is invariant
+    under x -> -x, so the odd-order terms average out over a cell.  The
+    last three rungs are fitted exactly by C + c2 h^2 + c4 h^4, or the last
+    two by C + c2 h^2, and C is returned.
     """
-    if len(ratios) >= 3:
-        r1, r2, r3 = ratios[-3], ratios[-2], ratios[-1]
-        d1, d2 = r2 - r1, r3 - r2
-        if d1 != 0.0 and d2 != 0.0 and 0.0 < d2 / d1 < 0.95:
-            q = d2 / d1
-            return float(r3 + d2 * q / (1.0 - q))
-    h1, h2 = ladder[-2], ladder[-1]
-    r1, r2 = ratios[-2], ratios[-1]
-    return float(r2 + (r2 - r1) * h2 / (h1 - h2))
+    tail = min(3, len(ratios))
+    h2 = np.asarray(ladder[-tail:], dtype=float) ** 2
+    return float(np.linalg.solve(np.vander(h2, increasing=True), ratios[-tail:])[0])
 
 
 def norm_equivalence_constants(V, p: float, samples: int = 4000) -> tuple[float, float]:
@@ -213,9 +207,9 @@ def convergence_sweep(f, V, p: float, ladder, padding: int | None = None,
 
     The fitted rate is the log-log slope of the error norms over the last
     few rungs; the ratio sequence norms^p / h^(p k) is extrapolated to
-    h = 0 assuming a first-order correction term.  A ladder with fewer
-    than two mesh sizes, or one that repeats a mesh size, raises
-    ValueError.
+    h = 0 by an exact fit of C + c2 h^2 (+ c4 h^4) on the last two (three)
+    rungs.  A ladder with fewer than two mesh sizes, or one that repeats a
+    mesh size, raises ValueError.
     """
     V = _coerce(V)
     ladder = tuple(sorted((float(h) for h in ladder), reverse=True))

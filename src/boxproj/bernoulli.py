@@ -22,7 +22,7 @@ from . import quadrature
 
 TWO_PI_I = 2j * np.pi
 INNER_ORDER = 16  # Gauss order of the cut cell rule of the ridge terms
-SERIES_CHUNK = 1 << 14  # entries per block of a series sum: pairs or table cells (cache-sized)
+SERIES_CHUNK = 1 << 14  # table entries per block of points in progression_sum (cache-sized)
 NORM_SERIES_BASE = 64  # first truncation of the Fourier-side norm series
 NORM_SERIES_LEVELS = 6  # doublings of it that the Neville extrapolation combines
 
@@ -260,66 +260,43 @@ def error_expansion(V, beta) -> ErrorFunctionExpansion:
     return ErrorFunctionExpansion(beta=beta, terms=tuple(terms))
 
 
-def monomial_error_series(V, beta, x, radius: int, mode: str = "auto"):
+def monomial_error_series(V, beta, x, radius: int):
     """Lattice Fourier series of the projection error of x^beta, truncated.
 
-    Sums (2 pi i)^(-|beta|) D^beta transform(xi) exp(2 pi i x.xi) over
-    nonzero integer frequencies xi.  mode='cube' scans the full
-    |xi|_inf <= radius box; mode='lines' only walks the integer multiples
-    k alpha, |k alpha|_inf <= radius, of the hyperplane-class normals, which
-    carry every nonzero coefficient for |beta| <= margin + 1 (any other
-    frequency keeps more than margin + 1 >= |beta| non-orthogonal
-    directions, so its coefficient is a structural zero; below the critical
-    order every coefficient is, and the series is exactly 0).  'auto'
-    switches to lines when the cube would be large.  radius must be a
-    positive integer, and x must hold at least one point.
-
-    The frequencies are built as one array and weighed by one
-    `transform_derivatives` call.  Cube mode drops the zero weights and
-    sums exp(2 pi i x . xi) @ weights over blocks of frequencies sized so
-    that a block holds about SERIES_CHUNK (point, frequency) pairs: one
-    exponential per pair, which makes it the independent check of lines
-    mode.  Lines mode sums the two progressions z^k and z^-k of each class,
-    z = exp(2 pi i alpha.x), by `progression_sum`, at about 2 sqrt(K)
-    exponentials per point for K multiples; a class whose weights all
-    vanish is skipped.  Returns complex values; symmetric truncation makes
-    the imaginary part vanish up to roundoff.
+    Sums (2 pi i)^(-|beta|) D^beta transform(xi) exp(2 pi i x.xi) over the
+    nonzero integer frequencies |xi|_inf <= radius.  For |beta| <= margin + 1
+    only the integer multiples k alpha of the hyperplane-class normals carry
+    a nonzero coefficient: any other frequency keeps more than margin + 1 >=
+    |beta| non-orthogonal directions, so its coefficient is a structural
+    zero (below the critical order every coefficient is, and the series is
+    exactly 0).  The multiples within the radius are weighed by one
+    `transform_derivatives` call, and the two progressions z^k and z^-k of
+    each class, z = exp(2 pi i alpha.x), are summed by `progression_sum` at
+    about 2 sqrt(K) exponentials per point for K multiples; a class whose
+    weights all vanish is skipped.  radius must be a positive integer, x
+    must hold at least one point, and |beta| above margin + 1 raises
+    ValueError.  Returns complex values; symmetric truncation makes the
+    imaginary part vanish up to roundoff.
     """
     _check_radius(radius)
     V = _coerce(V)
     beta = MultiIndex.of(beta)
-    d = V.dimension
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = np.atleast_2d(x)
     if len(pts) == 0:
         raise ValueError("lattice series needs at least one point")
+    if beta.order > V.margin + 1:
+        raise ValueError("the lattice series applies up to the critical order only")
+    alphas = [np.array(cls.alpha) for cls in V.classes]
+    counts = [radius // int(np.abs(a).max()) for a in alphas]
+    freqs = np.concatenate([sign * np.arange(1, K + 1)[:, None] * a
+                            for a, K in zip(alphas, counts) for sign in (1, -1)])
+    weights = np.split(transform_derivatives(V, beta, freqs),
+                       np.cumsum(np.repeat(counts, 2))[:-1])
     acc = np.zeros(len(pts), dtype=complex)
-    if mode == "auto":
-        mode = "cube" if (2 * radius + 1) ** d <= 200_000 else "lines"
-    if mode == "cube":
-        freqs = np.indices((2 * radius + 1,) * d).reshape(d, -1).T - radius
-        freqs = freqs[np.any(freqs != 0, axis=1)]
-        weights = transform_derivatives(V, beta, freqs)
-        live = weights != 0
-        freqs, weights = freqs[live], weights[live]
-        step = max(1, SERIES_CHUNK // len(pts))
-        for start in range(0, len(freqs), step):
-            block = freqs[start:start + step]
-            acc += np.exp(TWO_PI_I * (pts @ block.T)) @ weights[start:start + step]
-    elif mode == "lines":
-        if beta.order > V.margin + 1:
-            raise ValueError("lines mode applies up to the critical order only")
-        alphas = [np.array(cls.alpha) for cls in V.classes]
-        counts = [radius // int(np.abs(a).max()) for a in alphas]
-        freqs = np.concatenate([sign * np.arange(1, K + 1)[:, None] * a
-                                for a, K in zip(alphas, counts) for sign in (1, -1)])
-        weights = np.split(transform_derivatives(V, beta, freqs),
-                           np.cumsum(np.repeat(counts, 2))[:-1])
-        for a, ahead, behind in zip(alphas, weights[0::2], weights[1::2]):
-            if ahead.any() or behind.any():
-                acc += progression_sum(pts @ a, ahead, behind)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    for a, ahead, behind in zip(alphas, weights[0::2], weights[1::2]):
+        if ahead.any() or behind.any():
+            acc += progression_sum(pts @ a, ahead, behind)
     acc *= (1.0 / TWO_PI_I) ** beta.order
     return acc[0] if single else acc

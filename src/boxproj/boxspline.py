@@ -19,7 +19,6 @@ from .lattice import (
     MultiIndex,
     _coerce,
     integer_rank,
-    nonorthogonal_directions,
     product_derivative,
 )
 from . import quadrature
@@ -102,40 +101,25 @@ def fourier_transform(V, xi):
     return complex(vals[0]) if single else vals
 
 
-def transform_derivative(V, beta, freq, route: str = "auto") -> complex:
-    """D^beta of the transform, at a nonzero integer frequency.
-
-    route='auto' evaluates `transform_derivatives` on the one row freq:
-    the closed form when the derivative order equals the number of
-    directions not orthogonal to freq (each such factor takes exactly one
-    derivative, every other assignment kills a factor at an integer), a
-    structural zero above it, the product rule below it.  route='leibniz'
-    expands the product rule over all ways of distributing the
-    derivatives, a separate per-frequency computation that is the
-    independent check of the closed form.
-    """
-    V = _coerce(V)
-    beta = MultiIndex.of(beta)
-    if route == "leibniz":
-        nonorthogonal_directions(V, freq)
-        _check_derivative_order(V, beta)
-        dots = [sum(f * x for f, x in zip(freq, v)) for v in V.vectors]
-        return _leibniz_derivative(V, beta, dots)
-    if route != "auto":
-        raise ValueError(f"unknown route {route!r}")
+def transform_derivative(V, beta, freq) -> complex:
+    """D^beta of the transform at one nonzero integer frequency:
+    `transform_derivatives` on the one row freq."""
     return complex(transform_derivatives(V, beta, [freq])[0])
 
 
 def transform_derivatives(V, beta, freqs) -> np.ndarray:
     """D^beta of the transform at every row of an integer (m, d) array of
-    nonzero frequencies, by the rule of route='auto'.
+    nonzero frequencies.
 
-    Rows are grouped by their set of non-orthogonal directions.  A group
+    At an integer frequency every factor of a direction orthogonal to it
+    is entire and nonzero, and every other factor has a simple zero, so
+    rows are grouped by their set of non-orthogonal directions.  A group
     with more active directions than |beta| is a structural zero; one with
     exactly |beta| takes the closed form product_derivative(beta, active) /
-    prod(freq . v) over the active v, for all its rows at once; only rows
-    with fewer active directions than |beta| run the Leibniz expansion,
-    one by one.
+    prod(freq . v) over the active v (each active factor takes exactly one
+    derivative, every other assignment keeps a zero), for all its rows at
+    once; only rows with fewer active directions than |beta| run the
+    Leibniz expansion, one by one.
     """
     V = _coerce(V)
     beta = MultiIndex.of(beta)

@@ -84,8 +84,7 @@ class ExperimentConfig:
     KNOWN = {
         "preset", "vectors", "function", "scale", "radius", "exponents",
         "p", "h", "ladder", "beta", "padding", "box", "domain",
-        "tolerance", "grid", "series_radius", "series_mode",
-        "norm_order",
+        "tolerance", "grid", "series_radius", "norm_order",
     }
 
     @classmethod
@@ -117,6 +116,17 @@ class ExperimentConfig:
         if isinstance(val, (int, float)):
             return float(val)
         raise ConfigError(f"key {key!r} must be a number")
+
+    def integer(self, key, default=None, minimum: int = 1) -> int | None:
+        """An integer key at or above minimum (1 or 0); a float, fraction
+        or bool is rejected, not truncated."""
+        val = self.raw.get(key, default)
+        if val is None:
+            return None
+        if isinstance(val, bool) or not isinstance(val, int) or val < minimum:
+            kind = "positive" if minimum == 1 else "nonnegative"
+            raise ConfigError(f"{key} must be a {kind} integer, got {val!r}")
+        return val
 
     def direction_set(self) -> DirectionSet:
         if "vectors" in self.raw:
@@ -222,13 +232,9 @@ def cmd_lbeta(cfg: ExperimentConfig, args) -> int:
     if beta.order > V.margin + 1:
         raise ConfigError("beta order exceeds margin + 1")
     radius = cfg.get("series_radius", 400)
-    count = cfg.get("grid", 17)
-    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-        raise ConfigError(f"grid must be a positive integer, got {count!r}")
-    mode = str(cfg.get("series_mode", "auto"))
-    pts = quadrature.sample_grid(V.dimension, count)
+    pts = quadrature.sample_grid(V.dimension, cfg.integer("grid", 17))
     closed = error_expansion(V, beta).evaluate(pts)
-    series = monomial_error_series(V, beta, pts, radius, mode=mode).real
+    series = monomial_error_series(V, beta, pts, radius).real
     rows = []
     for i in range(len(pts)):
         rows.append(list(pts[i]) + [closed[i], series[i], abs(closed[i] - series[i])])
@@ -245,15 +251,13 @@ def cmd_project(cfg: ExperimentConfig, args) -> int:
     f = cfg.test_function(V.dimension)
     h = cfg.number("h", 1.0)
     p = cfg.number("p", 2.0)
-    padding = cfg.get("padding")
-    model = build_model(V, h, f, padding=None if padding is None else int(padding),
-                        box=cfg.box())
+    order = cfg.integer("norm_order", RULE_ORDER)
+    model = build_model(V, h, f, padding=cfg.integer("padding", minimum=0), box=cfg.box())
     coeffs = project(model, f)
     domain = cfg.box("domain")
     if domain is None and f.effective_box() is None:
         domain = cfg.box()
-    norm, power = error_norm(f, model, coeffs, p, domain=domain,
-                             order=int(cfg.number("norm_order", RULE_ORDER)))
+    norm, power = error_norm(f, model, coeffs, p, domain=domain, order=order)
     lines = _describe(V, cfg) + [
         f"h = {_fmt(h)}",
         f"window_lo = {tuple(int(a) for a in model.window_lo)}",
@@ -296,11 +300,10 @@ def cmd_converge(cfg: ExperimentConfig, args) -> int:
     if not ladder:
         raise ConfigError("converge needs a nonempty 'ladder'")
     tol = cfg.number("tolerance", 0.05)
-    padding = cfg.get("padding")
     rep = convergence_sweep(
         f, V, p, [float(h) for h in ladder],
-        padding=None if padding is None else int(padding),
-        norm_order=int(cfg.number("norm_order", RULE_ORDER)),
+        padding=cfg.integer("padding", minimum=0),
+        norm_order=cfg.integer("norm_order", RULE_ORDER),
     )
     rows = [
         [h, rep.ratios[i], rep.fitted_rate, rep.constant, rep.rel_error]

@@ -194,6 +194,13 @@ class TestExtrapolation:
         ratios = tuple(L + c * h ** 2 for h in ladder)
         assert abs(_extrapolate(ladder, ratios) - L) < 1e-12
 
+    def test_even_powers_to_h4_are_exact(self):
+        # three rungs fit r_h = L + c2 h^2 + c4 h^4 exactly
+        ladder = (1 / 8, 1 / 16, 1 / 32)
+        L, c2, c4 = 0.0291, -0.37, 5.3
+        ratios = tuple(L + c2 * h ** 2 + c4 * h ** 4 for h in ladder)
+        assert abs(_extrapolate(ladder, ratios) - L) < 1e-13 * L
+
     def test_stalled_sequence_returns_last(self):
         val = _extrapolate((1 / 4, 1 / 8, 1 / 16), (0.5, 0.5, 0.5))
         assert abs(val - 0.5) < 1e-12

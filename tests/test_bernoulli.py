@@ -192,10 +192,11 @@ class TestErrorExpansion:
 
 class TestMonomialErrorSeries:
     def test_cube_and_lines_agree(self):
+        # the class lines carry every nonzero coefficient of the cube
         V = preset("courant")
         x = sample_grid(2, 4)
-        a = monomial_error_series(V, (1, 1), x, 40, mode="cube")
-        b = monomial_error_series(V, (1, 1), x, 40, mode="lines")
+        a = _reference_series(V, (1, 1), x, 40, "cube")
+        b = monomial_error_series(V, (1, 1), x, 40)
         assert np.abs(a - b).max() < 1e-14
 
     def test_series_tail_shrinks(self):
@@ -204,7 +205,7 @@ class TestMonomialErrorSeries:
         closed = error_expansion(V, (1, 1)).evaluate(x)
         errs = []
         for radius in (50, 100, 200, 400):
-            s = monomial_error_series(V, (1, 1), x, radius, mode="lines").real
+            s = monomial_error_series(V, (1, 1), x, radius).real
             errs.append(np.abs(s - closed).max())
         assert errs[-1] < errs[0] / 8
         assert errs[-1] < 1e-6
@@ -212,13 +213,13 @@ class TestMonomialErrorSeries:
     def test_haar_discontinuity_midpoint_value(self):
         # at the jump the symmetric partial sums converge to the average
         V = preset("haar")
-        val = monomial_error_series(V, (1,), np.array([[0.0]]), 5000, mode="lines")
+        val = monomial_error_series(V, (1,), np.array([[0.0]]), 5000)
         assert abs(val[0]) < 1e-12
 
     def test_imaginary_part_vanishes(self):
         V = preset("tensor(2,2)")
         x = sample_grid(2, 4)
-        s = monomial_error_series(V, (1, 1), x, 100, mode="lines")
+        s = monomial_error_series(V, (1, 1), x, 100)
         assert np.abs(s.imag).max() < 1e-12
 
 
@@ -261,11 +262,13 @@ class TestBatchedSeries:
         ("courant2", 300, "lines"), ("courant", 20, "cube"), ("courant2", 20, "cube"),
         ("tensor(1,1)", 20, "cube"), ("3d", 6, "cube")])
     def test_matches_per_frequency_reference(self, name, radius, mode):
+        # mode is the frequency set of the reference: the class lines, or
+        # the whole cube
         V = THREE_D if name == "3d" else preset(name)
         x = sample_grid(V.dimension, 5 if V.dimension < 3 else 3)
         for beta in multi_indices(V.dimension, V.margin + 1):
             want = _reference_series(V, beta, x, radius, mode)
-            got = monomial_error_series(V, beta, x, radius, mode=mode)
+            got = monomial_error_series(V, beta, x, radius)
             assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1e-300)
 
     @pytest.mark.parametrize("name", ["courant", "courant2"])
@@ -278,7 +281,7 @@ class TestBatchedSeries:
         betas = list(multi_indices(2, V.margin + 1))
         for beta in betas if radius < 1000 else betas[len(betas) // 2:][:1]:
             want = _reference_series(V, beta, x, radius, "lines")
-            got = monomial_error_series(V, beta, x, radius, mode="lines")
+            got = monomial_error_series(V, beta, x, radius)
             assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1e-300)
 
     def test_class_beyond_radius_contributes_nothing(self, exp_sizes):
@@ -288,10 +291,10 @@ class TestBatchedSeries:
         assert V.is_unimodular and (1, -2) in [cls.alpha for cls in V.classes]
         x = sample_grid(2, 5)
         for beta in multi_indices(2, V.margin + 1):
-            want = monomial_error_series(V, beta, x, 1, mode="cube")
+            want = _reference_series(V, beta, x, 1, "cube")
             assert np.abs(_reference_series(V, beta, x, 1, "lines") - want).max() < 1e-15
             exp_sizes.clear()
-            got = monomial_error_series(V, beta, x, 1, mode="lines")
+            got = monomial_error_series(V, beta, x, 1)
             assert np.abs(got - want).max() < 1e-15
             # B = Q = 1: one fine and one coarse table per class within the radius
             assert sum(exp_sizes) <= 2 * len(x) * (len(V.classes) - 1)
@@ -305,24 +308,22 @@ class TestBatchedSeries:
         radius = 2000
         B = math.isqrt(radius - 1) + 1
         Q = -(-radius // B)
-        monomial_error_series(V, beta, x, radius, mode="lines")
+        monomial_error_series(V, beta, x, radius)
         assert 0 < sum(exp_sizes) <= 2 * len(x) * (B + Q) * len(V.classes)
 
     @pytest.mark.parametrize("radius", [-5, 0, 2.5, 3.0, True, "10"])
     def test_radius_must_be_positive_integer(self, radius):
         V = preset("courant")
         x = sample_grid(2, 3)
-        for mode in ("auto", "cube", "lines"):
-            with pytest.raises(ValueError, match="positive integer"):
-                monomial_error_series(V, (1, 1), x, radius, mode=mode)
+        with pytest.raises(ValueError, match="positive integer"):
+            monomial_error_series(V, (1, 1), x, radius)
         with pytest.raises(ValueError, match="positive integer"):
             BernoulliSplineTerm(V.classes[0]).series(x, radius)
 
     def test_empty_point_set_rejected(self):
         V = preset("courant")
-        for mode in ("auto", "cube", "lines"):
-            with pytest.raises(ValueError, match="at least one point"):
-                monomial_error_series(V, (1, 1), np.zeros((0, 2)), 50, mode=mode)
+        with pytest.raises(ValueError, match="at least one point"):
+            monomial_error_series(V, (1, 1), np.zeros((0, 2)), 50)
 
     def test_no_scalar_transform_calls(self, monkeypatch):
         calls = []
@@ -335,8 +336,7 @@ class TestBatchedSeries:
         monkeypatch.setattr(boxspline, "transform_derivative", counting)
         monkeypatch.setattr(bernoulli, "transform_derivative", counting, raising=False)
         x = sample_grid(2, 4)
-        for mode in ("cube", "lines"):
-            monomial_error_series(preset("courant"), (1, 1), x, 30, mode=mode)
+        monomial_error_series(preset("courant"), (1, 1), x, 30)
         assert calls == []
 
     @pytest.mark.parametrize("name", ["courant", "courant2", "tensor(2,2)", "bspline(3)"])
@@ -346,14 +346,13 @@ class TestBatchedSeries:
         x = sample_grid(V.dimension, 4)
         for order in range(V.margin + 1):
             for beta in multi_indices(V.dimension, order):
-                s = monomial_error_series(V, beta, x, 400, mode="lines")
+                s = monomial_error_series(V, beta, x, 400)
                 assert np.array_equal(s, np.zeros(len(x)))
-                assert np.array_equal(s, monomial_error_series(V, beta, x, 6, mode="cube"))
+                assert np.array_equal(s, _reference_series(V, beta, x, 6, "cube"))
 
     def test_lines_above_critical_order_rejected(self):
         with pytest.raises(ValueError, match="critical order"):
-            monomial_error_series(preset("courant"), (2, 1), sample_grid(2, 3), 50,
-                                  mode="lines")
+            monomial_error_series(preset("courant"), (2, 1), sample_grid(2, 3), 50)
 
 
 class TestSplineTermSeries:

@@ -23,6 +23,7 @@ from boxproj import (
     transform_derivatives,
 )
 from boxproj.boxspline import sinc_factor, sinc_factor_derivative
+from boxproj.checks import _leibniz_transform_derivative
 from boxproj.lattice import multi_indices
 
 THREE_D = DirectionSet(((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)))
@@ -92,15 +93,15 @@ class TestTransformDerivative:
         V = preset("courant")
         # alpha=(1,0) is non-orthogonal to two directions; any first
         # derivative of the double zero still vanishes
-        val = transform_derivative(V, (1, 0), (1, 0), route="auto")
+        val = transform_derivative(V, (1, 0), (1, 0))
         assert val == 0
 
     def test_two_routes_random_frequencies(self):
         V = preset("courant")
         for beta in multi_indices(2, 2):
             for alpha in ((1, 0), (0, 1), (1, -1), (2, 1), (-1, 2)):
-                a = transform_derivative(V, beta, alpha, route="auto")
-                b = transform_derivative(V, beta, alpha, route="leibniz")
+                a = transform_derivative(V, beta, alpha)
+                b = _leibniz_transform_derivative(V, beta, alpha)
                 assert abs(a - b) < 1e-12
 
     def test_frozen_symbolic_limits(self):
@@ -114,9 +115,9 @@ class TestTransformDerivative:
             ((0, 2), (0, 1)): 2.0,
         }
         for (beta, alpha), want in frozen.items():
-            for route in ("auto", "leibniz"):
-                got = transform_derivative(V, beta, alpha, route=route)
-                assert abs(got - want) < 1e-12, (beta, alpha, route)
+            for route in (transform_derivative, _leibniz_transform_derivative):
+                got = route(V, beta, alpha)
+                assert abs(got - want) < 1e-12, (beta, alpha, route.__name__)
 
     def test_moments_against_mpmath(self):
         import mpmath as mp
@@ -146,7 +147,7 @@ class TestTransformDerivatives:
         for order in (k, k + 1):
             beta = next(multi_indices(d, order))
             got = transform_derivatives(V, beta, freqs)
-            want = [transform_derivative(V, beta, tuple(a), route="auto") for a in freqs]
+            want = [transform_derivative(V, beta, tuple(a)) for a in freqs]
             assert np.array_equal(got, want)
             # each route of the rule is exercised with nonzero values
             closed, leibniz = active == order, active < order

@@ -101,8 +101,8 @@ class TestLbeta:
             assert float(row["closed_form"]) == 0.0
 
     def test_subcritical_order_in_lines_mode(self, tmp_path):
-        # the default series_radius sends 2-D configs to lines mode, which
-        # sums the exact zero series below the critical order
+        # below the critical order every weight on the class lines is a
+        # structural zero, so the series is exactly 0
         path = write_cfg(tmp_path, "preset = courant\nbeta = (1, 0)\ngrid = 3\n")
         out = str(tmp_path / "lb1.csv")
         assert main(["lbeta", "--config", path, "--out", out]) == 0
@@ -119,9 +119,15 @@ class TestLbeta:
 
     @pytest.mark.parametrize("mode", ["lines", "auto"])
     def test_negative_radius_rejected(self, tmp_path, capsys, mode):
-        path = write_cfg(tmp_path, f"preset = courant\nbeta = [1, 1]\ngrid = 3\n"
-                                   f"series_radius = -5\nseries_mode = {mode}\n")
+        # the series has one summation route: a config naming either former
+        # series_mode fails on the unknown key, and without it the negative
+        # radius is rejected before any output is written
+        cfg = "preset = courant\nbeta = [1, 1]\ngrid = 3\nseries_radius = -5\n"
         out = tmp_path / "lb.csv"
+        path = write_cfg(tmp_path, cfg + f"series_mode = {mode}\n")
+        assert main(["lbeta", "--config", path, "--out", str(out)]) == 2
+        assert "unknown key 'series_mode'" in capsys.readouterr().err
+        path = write_cfg(tmp_path, cfg)
         assert main(["lbeta", "--config", path, "--out", str(out)]) == 2
         assert "error: series radius must be a positive integer" in capsys.readouterr().err
         assert not out.exists()
@@ -181,6 +187,31 @@ class TestProject:
         captured = capsys.readouterr()
         assert "error: domain is reversed" in captured.err
         assert "error_norm" not in captured.out
+
+    @pytest.mark.parametrize("command", ["project", "converge"])
+    @pytest.mark.parametrize("line, message", [
+        ("padding = 2.5", "padding must be a nonnegative integer"),
+        ("padding = -0.5", "padding must be a nonnegative integer"),
+        ("padding = -1", "padding must be a nonnegative integer"),
+        ("padding = true", "padding must be a nonnegative integer"),
+        ("norm_order = 10.7", "norm_order must be a positive integer"),
+        ("norm_order = 0", "norm_order must be a positive integer"),
+        ("norm_order = 21/2", "norm_order must be a positive integer")])
+    def test_integer_keys_must_be_integers(self, tmp_path, capsys, command, line, message):
+        # truncating would run padding 2.5 as 2 and -0.5 as 0, past the
+        # negative-padding check, and norm_order 10.7 as 10
+        path = write_cfg(tmp_path, f"preset = bspline(2)\nfunction = gaussian\nh = 1/2\n"
+                                   f"ladder = [1/2, 1/4]\n{line}\n")
+        assert main([command, "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {message}" in captured.err
+        assert "error_norm" not in captured.out and "rel_err" not in captured.out
+
+    def test_integer_keys_accepted(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, "preset = bspline(2)\nfunction = gaussian\nh = 1/2\n"
+                                   "padding = 0\nnorm_order = 6\n")
+        assert main(["project", "--config", path]) == 0
+        assert "error_norm = " in capsys.readouterr().out
 
     def test_solver_error_is_reported(self, tmp_path, capsys, monkeypatch):
         def fail(model, f):

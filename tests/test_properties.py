@@ -14,9 +14,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from boxproj import (BoxSplineEvaluator, DirectionSet, autocorrelation_table, hyperplane_classes,
-                     nonorthogonal_directions, preset)
+                     monomial_error_series, multi_indices, nonorthogonal_directions, preset)
 from boxproj.bernoulli import BernoulliSplineTerm
 from boxproj.checks import _doubled_autocorrelation
+from boxproj.quadrature import sample_grid
+from test_bernoulli import _reference_series
 
 
 def three_direction(l, m, n):
@@ -87,3 +89,32 @@ def test_unimodular_3d_sets_read_one_hyperplane_list(counts):
         assert cls.member_indices == active
         assert cls.members == tuple(sorted(vectors[i] for i in active))
     assert BoxSplineEvaluator(V).cut_normals == V.hyperplanes
+
+
+# the consecutive-ones 3-D sets, as in the test above
+CONSECUTIVE_ONES_SETS = st.lists(st.integers(0, 2), min_size=6, max_size=6).map(
+    lambda counts: [v for v, c in zip(CONSECUTIVE_ONES, counts) for _ in range(c)]).filter(
+    lambda vectors: vectors and np.linalg.matrix_rank(np.array(vectors, dtype=float)) == 3).map(
+    DirectionSet)
+SERIES_SETS = st.one_of(
+    st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)).map(
+        lambda lmn: three_direction(*lmn)),
+    st.tuples(st.integers(1, 4), st.integers(1, 4)).map(
+        lambda mm: preset(f"tensor({mm[0]},{mm[1]})")),
+    st.integers(1, 8).map(lambda n: preset(f"bspline({n})")),
+    CONSECUTIVE_ONES_SETS,
+)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(SERIES_SETS)
+def test_lines_series_is_the_cube_series(V):
+    # off the class lines every coefficient of a critical beta is a
+    # structural zero, so the lines sum is the whole cube's
+    d = V.dimension
+    radius = 3 if d == 3 else 6
+    x = sample_grid(d, 3 if d == 3 else 4)
+    for beta in multi_indices(d, V.margin + 1):
+        want = _reference_series(V, beta, x, radius, "cube")
+        got = monomial_error_series(V, beta, x, radius)
+        assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1e-300), beta
