@@ -6,10 +6,23 @@ derivative of each family satisfies a simple polynomial recurrence,
 which keeps arbitrary orders exact (up to floating point) without any
 symbolic machinery.
 
-Points arrive as (n, d) arrays.  On the sampling path they are the
-column-contiguous batches of `quadrature.box_batches`, so every family
-reads them one coordinate at a time, pts[:, j], and never reduces across
-a row.
+Points arrive as (n, d) arrays.  On the point route of `projection` they
+are the column-contiguous batches of `quadrature.box_batches`, so every
+family reads them one coordinate at a time, pts[:, j], and never reduces
+across a row.
+
+Every family also gives its univariate factors: `factor(axis, t)` is
+phi_axis at the 1-D array t, with f(x) = prod_j phi_j(x_j).  `project`
+and `error_norm` take the tensor route for any f that has a `factor`
+attribute: they tabulate phi_j at the nodes of the cells along axis j
+once per call and never call f per node.  Any other callable, a
+`TestFunction` subclass without `factor` included, keeps the point
+route.  The product of the factors, taken left to right over the axes,
+is `value` bit for bit for a monomial and in 1-D.  For a Gaussian or a
+bump in 2-D and 3-D, `value` takes one exp of the summed exponent and
+the product one exp per axis, so they differ by an amount that grows
+with the exponent: at most 47 ulp (Gaussian) and 123 ulp (bump) at the
+points of `TestColumnKernels`, where the exponent falls to -42 and -198.
 """
 
 from __future__ import annotations
@@ -72,9 +85,10 @@ class Gaussian(TestFunction):
 
     def __init__(self, dim: int, scale: float = 1.0):
         super().__init__(dim)
-        if scale <= 0:
-            raise ValueError("scale must be positive")
-        self.scale = float(scale)
+        scale = float(scale)
+        if not (math.isfinite(scale) and scale > 0):
+            raise ValueError(f"scale must be finite and positive, got {scale}")
+        self.scale = scale
         self._a = math.pi / self.scale ** 2
 
     def _factor_poly(self, k: int):
@@ -98,6 +112,14 @@ class Gaussian(TestFunction):
                 out *= P.polyval(pts[:, j], self._factor_poly(bj))
         return float(out[0]) if single else out
 
+    def factor(self, axis: int, t):
+        """exp(-a t^2) at the 1-D array t, the same for every axis."""
+        t = np.asarray(t, dtype=float)
+        out = t * t
+        out *= -self._a
+        np.exp(out, out=out)
+        return out
+
     def effective_box(self):
         half = self.scale * math.sqrt(-math.log(SUPPORT_THRESHOLD) / math.pi)
         return (np.full(self.dim, -half), np.full(self.dim, half))
@@ -113,9 +135,10 @@ class Bump(TestFunction):
 
     def __init__(self, dim: int, radius: float = 3.0):
         super().__init__(dim)
-        if radius <= 0:
-            raise ValueError("radius must be positive")
-        self.radius = float(radius)
+        radius = float(radius)
+        if not (math.isfinite(radius) and radius > 0):
+            raise ValueError(f"radius must be finite and positive, got {radius}")
+        self.radius = radius
 
     @staticmethod
     def _numerator_poly(k: int):
@@ -151,6 +174,15 @@ class Bump(TestFunction):
                     val = val * num / (1.0 - tj * tj) ** (2 * bj) / self.radius ** bj
             out[inside] = val
         return float(out[0]) if single else out
+
+    def factor(self, axis: int, t):
+        """exp(1 - 1/(1 - (t/r)^2)) at the 1-D array t, zero for |t| >= r."""
+        s = np.asarray(t, dtype=float) / self.radius
+        inside = np.abs(s) < 1.0
+        out = np.zeros(s.shape)
+        si = s[inside]
+        out[inside] = np.exp(1.0 - 1.0 / (1.0 - si * si))
+        return out
 
     def effective_box(self):
         return (np.full(self.dim, -self.radius), np.full(self.dim, self.radius))
@@ -190,19 +222,34 @@ class Monomial(TestFunction):
                     out = np.full(len(pts), float(coef)) if out is None else out * coef
                 k, col = ej - bj, pts[:, j]
                 if k:
-                    power = col if k == 1 else col * col
-                    for _ in range(k - 2):
-                        power *= col
                     if out is None:
-                        out = power.copy() if k == 1 else power
+                        out = _power(col, k)
                     else:
-                        out *= power
+                        out *= col if k == 1 else _power(col, k)
             if out is None:
                 out = np.ones(len(pts))
         return float(out[0]) if single else out
 
+    def factor(self, axis: int, t):
+        """t^e at the 1-D array t, e the axis's exponent: the column product
+        of `derivative`, so the factors multiply to `value` bit for bit."""
+        t = np.asarray(t, dtype=float)
+        e = self.exponents.exponents[axis]
+        return _power(t, e) if e else np.ones(t.shape)
+
     def rescale(self, factor: float) -> "Monomial":
         raise NotImplementedError("monomials do not rescale within the family")
+
+
+def _power(col, k: int):
+    """col^k, k >= 1, as the left-to-right product of k columns, in a new
+    array."""
+    if k == 1:
+        return col.copy()
+    power = col * col
+    for _ in range(k - 2):
+        power *= col
+    return power
 
 
 def gaussian(dim: int, scale: float = 1.0) -> Gaussian:

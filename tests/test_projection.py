@@ -24,7 +24,8 @@ from boxproj import (
 from boxproj import quadrature
 from boxproj.checks import _doubled_autocorrelation
 from boxproj.projection import _normal_operators, _right_hand_sides, cell_spline_table
-from boxproj.testfunctions import gaussian, monomial
+from boxproj import testfunctions
+from boxproj.testfunctions import bump, gaussian, monomial
 
 THREE_D = DirectionSet(((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)))
 
@@ -524,13 +525,16 @@ class TestRightHandSides:
             V = preset(name)
         d = V.dimension
         m = build_model(V, h, box=(np.full(d, -0.5), np.full(d, 1.0)), padding=0)
-        f = Polynomial()
-        want = _reference_right_hand_sides(m, f)
-        got = _right_hand_sides(m, f.value)
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-        coeffs = project(m, f)
-        c_ref = np.linalg.solve(m.matrix().toarray(), want).reshape(m.window_shape)
-        assert np.abs(coeffs.values - c_ref).max() <= 1e-12 * np.abs(c_ref).max()
+        # the polynomial takes the point route, the product test functions
+        # the tensor route of their factor tables
+        for f in (Polynomial(), gaussian(d, 0.7), bump(d, 1.5),
+                  monomial(((3,), (1, 2), (1, 0, 2))[d - 1])):
+            want = _reference_right_hand_sides(m, f)
+            got = _right_hand_sides(m, f)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            coeffs = project(m, f)
+            c_ref = np.linalg.solve(m.matrix().toarray(), want).reshape(m.window_shape)
+            assert np.abs(coeffs.values - c_ref).max() <= 1e-12 * np.abs(c_ref).max()
 
     def test_f_sampled_once_per_cell_node(self):
         # one sample per node of every mesh cell a window shift's support
@@ -554,6 +558,71 @@ class TestRightHandSides:
             project(m, Counting())
             grown = np.array(m.window_shape) + extent - 1
             assert sum(seen) == len(nodes) * int(np.prod(grown))
+
+
+class TestSamplingRoute:
+    """A test function is sampled through its per-axis factors; any other
+    callable, a `TestFunction` without `factor` included, point by point."""
+
+    @pytest.mark.parametrize("name", ["bspline(3)", "courant", "3d"])
+    def test_factor_tables_replace_per_node_calls(self, monkeypatch, name):
+        V = THREE_D if name == "3d" else preset(name)
+        d = V.dimension
+        box = (np.full(d, -0.5), np.full(d, 0.5))
+        m = build_model(V, 0.5, box=box, padding=1)
+        for f in (gaussian(d, 0.6), bump(d, 0.9), monomial((1,) * d)):
+            axes = []
+            factor, cls = f.factor, type(f)
+
+            def counted_factor(self, axis, t, factor=factor):
+                axes.append(axis)
+                return factor(axis, t)
+
+            def no_derivative(self, beta, x):
+                raise AssertionError("derivative called on the tensor route")
+
+            with monkeypatch.context() as patch:
+                patch.setattr(cls, "factor", counted_factor)
+                patch.setattr(cls, "derivative", no_derivative)
+                coeffs = project(m, f)
+                assert axes == list(range(d))
+                error_norm(f, m, coeffs, 2.0, domain=box)
+                assert axes == 2 * list(range(d))
+            point = project(m, f.value)
+            assert np.abs(coeffs.values - point.values).max() <= 1e-14 * np.abs(point.values).max()
+
+    def test_callables_without_factors_keep_the_point_route(self):
+        g = gaussian(2, 0.6)
+
+        class Plain(testfunctions.TestFunction):
+            def __init__(self):
+                super().__init__(2)
+                self.points = 0
+
+            def derivative(self, beta, x):
+                self.points += len(x)
+                return g.derivative(beta, x)
+
+            def effective_box(self):
+                return g.effective_box()
+
+        seen = []
+
+        def opaque(X):
+            seen.append(len(X))
+            return g.value(X)
+
+        m = build_model(preset("courant"), 0.5, g)
+        plain = Plain()
+        assert not hasattr(plain, "factor")
+        with_plain, with_opaque = project(m, plain), project(m, opaque)
+        assert plain.points > 0 and sum(seen) == plain.points
+        want = project(m, g.value)
+        assert np.array_equal(with_plain.values, want.values)
+        assert np.array_equal(with_opaque.values, want.values)
+        box = g.effective_box()
+        assert (error_norm(plain, m, want, 2.0) == error_norm(opaque, m, want, 2.0, domain=box)
+                == error_norm(g.value, m, want, 2.0, domain=box))
 
 
 def _reference_matrix(m):

@@ -13,11 +13,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from boxproj import (BoxSplineEvaluator, DirectionSet, autocorrelation_table, hyperplane_classes,
-                     monomial_error_series, multi_indices, nonorthogonal_directions, preset)
+from boxproj import (BoxSplineEvaluator, DirectionSet, autocorrelation_table, gram_symbol_range,
+                     hyperplane_classes, monomial_error_series, multi_indices,
+                     nonorthogonal_directions, preset)
 from boxproj.bernoulli import BernoulliSplineTerm
 from boxproj.checks import _doubled_autocorrelation
-from boxproj.quadrature import sample_grid
+from boxproj.quadrature import box_cells, sample_grid
 from test_bernoulli import _reference_series
 
 
@@ -58,6 +59,29 @@ def test_gram_table_matches_doubled_spline(lmn):
     table = autocorrelation_table(V)
     worst = max(abs(a - _doubled_autocorrelation(V, gamma)) for gamma, a in table.items())
     assert worst <= 1e-8
+
+
+@settings(derandomize=True, max_examples=20, deadline=None, database=None)
+@given(SETS)
+def test_partition_of_unity_and_gram_invariants(case):
+    # over every set of these families: partition of unity within 8.9e-16,
+    # symmetry within 2.8e-17, row sum within 3.6e-14 (each dropped entry
+    # is at most GRAM_DROP = 1e-14), symbol minimum 1.3e-4; the 3-D sets
+    # are left out, their Gram tables take seconds each
+    V, _ = case
+    d = V.dimension
+    spline = BoxSplineEvaluator(V)
+    # the shifts alpha with B(x - alpha) possibly nonzero for x in [0, 1)^d
+    zlo = np.rint(spline.support_lo).astype(int)
+    zhi = np.rint(spline.support_hi).astype(int)
+    x = sample_grid(d, 5)
+    total = sum(spline(x - alpha) for alpha in box_cells(1 - zhi, 1 - zlo))
+    assert np.abs(total - 1.0).max() <= 1e-14
+    table = autocorrelation_table(V)
+    for gamma, a in table.items():
+        assert abs(a - table[tuple(-g for g in gamma)]) <= 1e-16
+    assert abs(sum(table.values()) - 1.0) <= 1e-13
+    assert gram_symbol_range(V)[0] > 0.0
 
 
 # consecutive-ones vectors: every set drawn from them is unimodular

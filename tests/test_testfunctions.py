@@ -60,6 +60,11 @@ class TestGaussian:
         lo4, hi4 = f.rescale(0.25).effective_box()
         assert abs(hi4[0] - 4 * hi[0]) < 1e-12
 
+    @pytest.mark.parametrize("scale", [math.nan, math.inf])
+    def test_non_finite_scale_rejected(self, scale):
+        with pytest.raises(ValueError, match="finite and positive"):
+            gaussian(2, scale)
+
 
 class TestBump:
     def test_compact_support(self):
@@ -88,6 +93,11 @@ class TestBump:
         lo, hi = f.effective_box()
         assert np.abs(lo + 2.0).max() < 1e-12
         assert np.abs(hi - 2.0).max() < 1e-12
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf])
+    def test_non_finite_radius_rejected(self, radius):
+        with pytest.raises(ValueError, match="finite and positive"):
+            bump(2, radius)
 
 
 class TestMonomial:
@@ -192,6 +202,28 @@ class TestColumnKernels:
                         assert got.shape == (len(x),)
                     assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (
                         f.tag, getattr(f, "exponents", None), beta, np.shape(x))
+
+    # measured maxima over these layouts: 47 ulp (gaussian, d = 3) and
+    # 123 ulp (bump, d = 3); the gap grows with the size of the exponent,
+    # which the product rounds per axis and `value` rounds as one sum
+    FACTOR_ULPS = {"gaussian": 64, "bump": 160, "monomial": 0}
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_factors_multiply_to_value(self, d):
+        for f in _families(d):
+            bound = self.FACTOR_ULPS[f.tag] if d > 1 else 0
+            for x in _layouts(d):
+                pts = np.atleast_2d(x)
+                got = f.factor(0, pts[:, 0])
+                for j in range(1, d):
+                    got = got * f.factor(j, pts[:, j])
+                want = np.atleast_1d(f.value(x))
+                if bound == 0:
+                    assert got.tobytes() == want.tobytes(), (f.tag, getattr(f, "exponents", None))
+                    continue
+                assert np.array_equal(got == 0.0, want == 0.0)
+                ulps = np.abs(got - want) / np.spacing(np.abs(want))
+                assert ulps.max() <= bound, (f.tag, ulps.max())
 
     def test_result_does_not_alias_points(self):
         x = tile_points(np.array([[0.25, 0.5]]), np.array([[0, 0], [1, 2]]))
