@@ -12,6 +12,7 @@ once in lattice coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,12 +42,32 @@ def autocorrelation_table(V) -> dict[tuple[int, ...], float]:
     """All nonzero shift autocorrelations a(gamma) = int B(x) B(x - gamma) dx,
     keyed by integer offset in lexicographic order.
 
-    The contraction `_gram` of a freshly built `cell_spline_table` at
-    RULE_ORDER; `build_model` applies the same contraction to the table
-    it keeps, so a model's `gram` equals this table exactly.  The checks
-    compare it with the doubled spline M_{V u -V}(gamma), the same integral.
+    The contraction `_gram` of V's `cell_spline_table` at RULE_ORDER,
+    computed once per process for every set equal to V (`_cell_tables`)
+    and returned as a fresh dict on each call; a model's `gram` is a copy
+    of the same table.  The checks compare it with the doubled spline
+    M_{V u -V}(gamma), the same integral.
     """
-    return _gram(cell_spline_table(BoxSplineEvaluator(_coerce(V))))
+    return dict(_cell_tables(_coerce(V), RULE_ORDER)[2])
+
+
+@lru_cache(maxsize=None)
+def _cell_tables(V: DirectionSet, order: int):
+    """(evaluator, cell table, Gram items) of V: a `BoxSplineEvaluator`,
+    its `cell_spline_table` at `order` and the `_gram` of that table as a
+    tuple of (gamma, a) pairs.
+
+    By the dilation identity one cell table serves every mesh size, so it
+    is built once per process for every set equal to V (the key is the
+    set's value, not the object).  Its arrays and the evaluator's support
+    corners are read-only; callers copy the Gram items into a dict of
+    their own.
+    """
+    spline = BoxSplineEvaluator(V)
+    table = cell_spline_table(spline, order)
+    for a in (*table, spline.support_lo, spline.support_hi):
+        a.flags.writeable = False
+    return spline, table, tuple(_gram(table).items())
 
 
 def _gram(cell_table) -> dict[tuple[int, ...], float]:
@@ -86,11 +107,14 @@ class CoefficientField:
 class SplineSpaceModel:
     """Precomputed machinery for projecting at one mesh size.
 
-    Holds the window (in lattice units), the cell-periodic spline table
-    of `cell_spline_table` at RULE_ORDER, and the Gram table contracted
-    from it (equal to `autocorrelation_table`).  The spline table serves
-    the Gram table, the right-hand sides of `project` and the error norms
-    of `error_norm`.  Nothing is derived from `gram` and kept: `project`
+    Holds the window (in lattice units), the evaluator and cell-periodic
+    spline table of `cell_spline_table` at RULE_ORDER, and the Gram table
+    contracted from it (equal to `autocorrelation_table`).  The evaluator
+    and the spline table are shared, read-only, by every model of an equal
+    set (`_cell_tables`); `gram` is this model's own dict, so an edit to
+    it reaches no other model.  The spline table serves the Gram table,
+    the right-hand sides of `project` and the error norms of
+    `error_norm`.  Nothing is derived from `gram` and kept: `project`
     derives its Gram stencil and symbol preconditioner from it on each
     call, and `matrix()` (the explicit matrix, for the checks and the
     tests) lays it out afresh on each call, so an edit to `gram` takes
@@ -164,11 +188,13 @@ def build_model(V, h: float, f=None, padding: int | None = None, box=None) -> Sp
 
     The window collects every shift whose support touches the effective
     box of f (or the explicit `box`), inflated by `padding` cells; the
-    default padding is three support diameters.  The spline is evaluated
-    once, for the cell table, and the Gram table is contracted from it.
-    A mesh size that is not finite and positive, a negative padding, or a
-    box whose dimension is not that of V, that is reversed on some axis
-    or has a corner that is not finite, raises ValueError.
+    default padding is three support diameters.  The evaluator, cell table
+    and Gram table are those of `_cell_tables`, built by the first model of
+    an equal set in the process and shared by every later one at any h:
+    a later build evaluates no spline.  The model gets its own copy of the
+    Gram table.  A mesh size that is not finite and positive, a negative
+    padding, or a box whose dimension is not that of V, that is reversed
+    on some axis or has a corner that is not finite, raises ValueError.
     """
     h = float(h)
     if not (np.isfinite(h) and h > 0.0):
@@ -176,7 +202,7 @@ def build_model(V, h: float, f=None, padding: int | None = None, box=None) -> Sp
     if padding is not None and padding < 0:
         raise ValueError(f"padding must be nonnegative, got {padding}")
     V = _coerce(V)
-    spline = BoxSplineEvaluator(V)
+    spline, table, gram = _cell_tables(V, RULE_ORDER)
     if box is None:
         if f is None or f.effective_box() is None:
             raise ValueError("need f with an effective box, or an explicit box")
@@ -190,13 +216,12 @@ def build_model(V, h: float, f=None, padding: int | None = None, box=None) -> Sp
     shape = tuple(int(b - a + 1) for a, b in zip(wlo, whi))
     if int(np.prod(shape)) > MAX_UNKNOWNS:
         raise ValueError(f"window of {np.prod(shape)} unknowns exceeds cap")
-    table = cell_spline_table(spline)
     return SplineSpaceModel(
         V=V,
         h=h,
         window_lo=wlo,
         window_shape=shape,
-        gram=_gram(table),
+        gram=dict(gram),
         evaluator=spline,
         cell_table=table,
         padding=padding,
@@ -511,10 +536,14 @@ def error_norm(f, model: SplineSpaceModel, coeffs: CoefficientField, p: float,
     splines so the piecewise-smooth integrand is handled cleanly.  The
     projection at the nodes of mesh cell m is the coefficients
     c_{m + delta} gathered against `cell_spline_table`: the model's own
-    table when `order` is RULE_ORDER, else one built for this call at
-    `order` (at p != 2 the integrand is not piecewise polynomial, so a
-    higher order shrinks the rule's error); the box spline is never
-    evaluated per node.  f is sampled by the route `project` takes for it
+    table when `order` is RULE_ORDER, else V's table at `order`, built once
+    per process (`_cell_tables`; at p != 2 the integrand is not piecewise
+    polynomial, so a higher order shrinks the rule's error); the box
+    spline is never evaluated per node.  The coefficients are laid into
+    one zero array over every cell m + delta the domain reaches, so that a
+    batch of cells gathers them with one `np.take` of flat indices.  At
+    p = 2 the difference is squared without `np.abs` (x*x is |x|*|x| bit
+    for bit).  f is sampled by the route `project` takes for it
     (`_cell_samples`): an f with a `factor` method is the product of its
     per-axis factor tables, gathered per cell, and is not called per node;
     any other f is called on each batch of nodes, and must not modify its
@@ -538,21 +567,32 @@ def error_norm(f, model: SplineSpaceModel, coeffs: CoefficientField, p: float,
     if order == RULE_ORDER:
         nodes, weights, offsets, table = model.cell_table
     else:
-        nodes, weights, offsets, table = cell_spline_table(model.evaluator, order)
+        nodes, weights, offsets, table = _cell_tables(model.V, order)[1]
+    # the coefficients on every cell m + delta the domain reaches, zero off
+    # the window, in one C-order array: domain cell i reads offset j at
+    # flat[base[i] + shift[j]]
+    rlo = mlo + offsets.min(axis=0)
+    reach = shape + np.ptp(offsets, axis=0)
+    grid = np.zeros(reach)
     wlo = np.array(coeffs.window_lo)
-    dims = np.array(coeffs.values.shape)
+    lo, hi = np.maximum(wlo, rlo), np.minimum(wlo + coeffs.values.shape, rlo + reach)
+    if np.all(hi > lo):
+        grid[tuple(map(slice, lo - rlo, hi - rlo))] = \
+            coeffs.values[tuple(map(slice, lo - wlo, hi - wlo))]
+    flat = grid.ravel()
+    strides = np.cumprod((1,) + tuple(reach[:0:-1]))[::-1]
+    base = quadrature.box_cells(mlo - rlo, mlo - rlo + shape) @ strides
+    shift = offsets @ strides
     power = 0.0
     for start, fvals in _cell_samples(f, h, nodes, mlo, shape):
-        m = mlo + np.stack(np.unravel_index(np.arange(start, start + len(fvals)), shape), axis=1)
-        gathered = np.zeros((len(m), len(offsets)))
-        for j, delta in enumerate(offsets):
-            idx = m + delta - wlo
-            ok = np.all((idx >= 0) & (idx < dims), axis=1)
-            gathered[ok, j] = coeffs.values[tuple(idx[ok].T)]
+        gathered = np.take(flat, base[start:start + len(fvals), None] + shift)
         diff = gathered @ table
         np.subtract(fvals, diff, out=diff)
-        np.abs(diff, out=diff)
-        diff **= p
+        if p == 2:
+            diff *= diff
+        else:
+            np.abs(diff, out=diff)
+            diff **= p
         power += float(np.sum(diff @ weights))
     power *= h ** d
     return power ** (1.0 / p), power

@@ -21,7 +21,7 @@ from boxproj import (
     residual_orthogonality,
     spline_values,
 )
-from boxproj import quadrature
+from boxproj import checks, projection, quadrature
 from boxproj.checks import _doubled_autocorrelation
 from boxproj.projection import _normal_operators, _right_hand_sides, cell_spline_table
 from boxproj import testfunctions
@@ -78,9 +78,13 @@ class TestAutocorrelation:
         assert list(build_model(V, 0.5, box=box).gram.items()) == list(table.items())
 
     @staticmethod
-    def _count_evaluations(monkeypatch, V, build):
+    def _count_evaluations(monkeypatch, V, build, warm=lambda: None):
         """Evaluators built and spline points evaluated by build(), and
-        the cap n_support_cells x n_nodes of one cell table of V."""
+        the cap n_support_cells x n_nodes of one cell table of V.  The
+        per-process cell tables are cleared first and warm() is run
+        uncounted, so build() meets the cache warm() leaves."""
+        projection._cell_tables.cache_clear()
+        warm()
         spline = BoxSplineEvaluator(V)
         nodes = cell_spline_table(spline)[0]
         n_cells = int(np.prod(np.rint(spline.support_hi - spline.support_lo)))
@@ -113,6 +117,22 @@ class TestAutocorrelation:
             monkeypatch, V, lambda: build_model(V, 1 / 32, gaussian(2, 1.0)))
         assert built == 1
         assert points <= cap
+
+    def test_second_rung_and_equal_set_evaluate_nothing(self, monkeypatch):
+        # every model of an equal set shares the cell table and Gram table
+        # of the first one built in the process, at any h
+        V = preset("courant2")
+        g = gaussian(2, 1.0)
+
+        def build():
+            rung = build_model(V, 1 / 8, g)
+            equal = build_model(DirectionSet(preset("courant2").vectors), 1 / 4, g)
+            assert equal.gram == rung.gram
+
+        built, points, _ = self._count_evaluations(
+            monkeypatch, V, build, warm=lambda: build_model(V, 1 / 4, g))
+        assert built == 0
+        assert points == 0
 
     def test_symmetry_and_row_sum(self):
         for name in ("bspline(2)", "courant", "tensor(2,2)"):
@@ -471,9 +491,9 @@ class TestCellSplineTable:
             assert abs(got - want) <= 1e-13 * want
 
     def test_spline_evaluations_do_not_grow_with_refinement(self, monkeypatch):
-        # build_model's table is the only spline evaluation left in a
-        # build/project/error_norm pass: the Gram table is contracted from
-        # it and error_norm reuses it
+        # on a cold cache, build_model's table is the only spline
+        # evaluation in a build/project/error_norm pass: the Gram table is
+        # contracted from it and error_norm reuses it
         V = preset("courant")
         g = gaussian(2, 1.0)
         nodes, _, offsets, _ = cell_spline_table(BoxSplineEvaluator(V))
@@ -487,6 +507,7 @@ class TestCellSplineTable:
         monkeypatch.setattr(BoxSplineEvaluator, "__call__", counting)
         counts = []
         for h in (0.25, 0.125):
+            projection._cell_tables.cache_clear()
             before = sum(seen)
             m = build_model(V, h, g)
             c = project(m, g)
@@ -494,6 +515,88 @@ class TestCellSplineTable:
             counts.append(sum(seen) - before)
         assert counts[0] == counts[1]
         assert 0 < counts[0] <= len(nodes) * len(offsets)
+
+
+def _masked_gather_error_power(f, m, c, p, domain, order):
+    """The p-th power of error_norm by a per-offset gather: for each
+    support offset, the coefficients of the cells whose m + delta falls in
+    the window, under a bounds mask, and |f - Pf| ** p at every p."""
+    h, d = m.h, m.V.dimension
+    mlo = np.floor(np.asarray(domain[0], dtype=float) / h).astype(int)
+    shape = np.ceil(np.asarray(domain[1], dtype=float) / h).astype(int) - mlo
+    nodes, weights, offsets, table = cell_spline_table(m.evaluator, order)
+    wlo, dims = np.array(c.window_lo), np.array(c.values.shape)
+    power = 0.0
+    for start, fvals in projection._cell_samples(f, h, nodes, mlo, shape):
+        cells = mlo + np.stack(np.unravel_index(
+            np.arange(start, start + len(fvals)), shape), axis=1)
+        gathered = np.zeros((len(cells), len(offsets)))
+        for j, delta in enumerate(offsets):
+            idx = cells + delta - wlo
+            ok = np.all((idx >= 0) & (idx < dims), axis=1)
+            gathered[ok, j] = c.values[tuple(idx[ok].T)]
+        diff = gathered @ table
+        np.subtract(fvals, diff, out=diff)
+        np.abs(diff, out=diff)
+        diff **= p
+        power += float(np.sum(diff @ weights))
+    return power * h ** d
+
+
+class TestFlatGather:
+    # first-axis extents of the domain, the other axes span [-0.5, 0.25]:
+    # inside the window, straddling its upper edge, past it on both sides,
+    # and of zero width on a mesh line (no cell at all)
+    EXTENTS = {"inside": (-0.5, 0.5), "straddling": (0.5, 2.5),
+               "beyond": (-3.5, 3.5), "zero width": (0.5, 0.5)}
+
+    @pytest.mark.parametrize("name", ["bspline(3)", "courant2", "3d"])
+    def test_bitwise_equal_to_masked_gather(self, name):
+        V = THREE_D if name == "3d" else preset(name)
+        d = V.dimension
+        g = gaussian(d, 1.0)
+        m = build_model(V, 0.5, box=(np.full(d, -1.0), np.full(d, 1.0)), padding=0)
+        c = project(m, g)
+        upper = m.h * (m.window_lo[0] + m.window_shape[0])
+        lower = m.h * m.window_lo[0]
+        for where, (a, b) in self.EXTENTS.items():
+            dom = (np.array([a] + [-0.5] * (d - 1)), np.array([b] + [0.25] * (d - 1)))
+            if where == "straddling":
+                assert a < upper < b
+            if where == "beyond":
+                assert a < lower and upper < b
+            for p, order in itertools.product((2.0, 3.0), (10, 16)):
+                norm, got = error_norm(g, m, c, p, domain=dom, order=order)
+                want = _masked_gather_error_power(g, m, c, p, dom, order)
+                assert got == want, (where, p, order)
+                assert norm == want ** (1.0 / p)
+                assert (got == 0.0) == (where == "zero width")
+
+
+class TestSharedTables:
+    def test_gram_edit_stays_in_its_model(self):
+        V = preset("courant")
+        g = gaussian(2, 1.0)
+        m = build_model(V, 0.25, g)
+        want = m.gram[(1, 0)]
+        m.gram[(1, 0)] += 1e-3
+        assert build_model(V, 0.125, g).gram[(1, 0)] == want
+        table = autocorrelation_table(V)
+        assert table[(1, 0)] == want
+        table[(1, 0)] += 1e-3
+        assert autocorrelation_table(V)[(1, 0)] == want
+
+    def test_cell_table_is_read_only(self):
+        m = build_model(preset("courant"), 0.25, gaussian(2, 1.0))
+        with pytest.raises(ValueError):
+            m.cell_table[3][0, 0] = 1.0
+
+    def test_perturbed_battery_leaves_the_next_one_passing(self):
+        perturbed = checks.run_battery(perturb_gram=1e-3)
+        assert any(not r.passed for r in perturbed)
+        results = checks.run_battery()
+        assert len(results) == len(perturbed)
+        assert [r.name for r in results if not r.passed] == []
 
 
 class Polynomial:
