@@ -11,10 +11,12 @@ side by projecting along a ladder of meshes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .lattice import UnsupportedDimensionError, _coerce, multi_indices, product_derivative
+from .lattice import (DirectionSet, UnsupportedDimensionError, _coerce, linear_form_product,
+                      multi_indices, product_derivative)
 from .bernoulli import INNER_ORDER, BernoulliSplineTerm, bernoulli_l2_norm_sq, ridge_cut
 from .projection import RULE_ORDER, _check_exponent, build_model, error_norm, project
 from . import quadrature
@@ -43,25 +45,83 @@ def directional_derivative(f, vectors, t):
     return float(out[0]) if single else out
 
 
-def _outer_rule(f, order: int):
+def _outer_cells(f):
+    """Integer corners lo, hi of the unit cells that cover f's effective box."""
     box = f.effective_box()
     if box is None:
         raise ValueError("f must have an effective support box")
     lo = np.floor(np.asarray(box[0], dtype=float)).astype(int)
     hi = np.ceil(np.asarray(box[1], dtype=float)).astype(int)
+    return lo, hi
+
+
+def _outer_rule(f, order: int):
+    """The outer rule: the tensor Gauss rule of the given order on each unit
+    cell of `_outer_cells`."""
+    lo, hi = _outer_cells(f)
     d = len(lo)
     base_pts, base_wts = quadrature.tensor_rule([0.0] * d, [1.0] * d, order)
     return quadrature.tile_rule(base_pts, base_wts, quadrature.box_cells(lo, hi))
 
 
+def _derivative_gram(f, vector_lists) -> np.ndarray:
+    """G_D[U, V] = sum_t w_t D_U f(t) D_V f(t) over `_outer_rule` at
+    OUTER_ORDER, D_U = prod_{v in U} (v . grad), one row and column per
+    vector list U.
+
+    An f without `factor_derivative` is differentiated by
+    `directional_derivative` at every outer node.  Any other f (Gaussian,
+    bump) is never sampled on the outer grid.  The outer rule is the
+    product of per-axis rules (the nodes i + x_l of the cells along axis j,
+    weights w_l) and D^beta f is the product of the factor derivatives
+    phi_j^(beta_j), so
+    G_D[U, V] = sum_{beta, beta'} C_U[beta] C_V[beta'] prod_j M_j[beta_j, beta'_j],
+    with the moment matrices M_j = T_j diag(w) T_j^T, T_j[b] = phi_j^(b)
+    at the axis-j nodes, and C_U the coefficients of prod_{v in U} (x . v).
+    The product over the axes is the Kronecker product K of the M_j,
+    indexed by beta in C order, and all pairs (U, V) are one product
+    C K C^T.  That is O(sum_j N_j k^2) work for N_j nodes along axis j and
+    k the longest list, plus O(c (k+1)^(2d)) for the product; the
+    pointwise route makes O(N_t n c) exp and polyval passes, n the number
+    of multi-indices of order k, on the N_t = prod_j N_j outer nodes.  The
+    two agree up to rounding.
+    """
+    if not hasattr(f, "factor_derivative"):
+        pts, wts = _outer_rule(f, OUTER_ORDER)
+        D = np.stack([directional_derivative(f, vs, pts) for vs in vector_lists], axis=-1)
+        return (D.T * wts) @ D
+    lo, hi = _outer_cells(f)
+    order = max(len(vs) for vs in vector_lists)
+    shape = (order + 1,) * len(lo)
+    x, w = quadrature.unit_nodes(OUTER_ORDER)
+    moments = np.ones((1, 1))
+    for j, (a, b) in enumerate(zip(lo, hi)):
+        T = f.factor_derivative(j, order, np.add.outer(np.arange(a, b, dtype=float), x).ravel())
+        moments = np.kron(moments, (T * np.tile(w, b - a)) @ T.T)
+    C = np.zeros((len(vector_lists), moments.shape[0]))
+    for row, vs in zip(C, vector_lists):
+        for beta, coef in linear_form_product(vs).items():
+            row[np.ravel_multi_index(beta, shape)] = coef
+    return C @ moments @ C.T
+
+
 def sobolev_product_norm(f, vectors, p: float = 2.0) -> float:
-    """Integral of |prod (v.grad) f|^p over the effective support of f."""
+    """Integral of |prod (v.grad) f|^p over the effective support of f, on
+    the outer rule.
+
+    At p = 2, an f with `factor_derivative` takes the moment route of
+    `_derivative_gram`; any other p or f sums `directional_derivative` over
+    the nodes of the outer rule.
+    """
+    if p == 2 and hasattr(f, "factor_derivative"):
+        return float(_derivative_gram(f, [vectors])[0, 0])
     pts, wts = _outer_rule(f, OUTER_ORDER)
     vals = directional_derivative(f, vectors, pts)
     return float(np.dot(wts, np.abs(vals) ** p))
 
 
-def _ridge_cell_table(V, order: int):
+@lru_cache(maxsize=None)
+def _ridge_cell_table(V: DirectionSet, order: int):
     """The ridge terms of V and their values on one lattice cell.
 
     Returns (terms, B, weights): B[x, U] is term U at node x of the unit
@@ -71,12 +131,18 @@ def _ridge_cell_table(V, order: int):
     terms then has degree 2k, which the collapsed rule of order q
     integrates exactly when 2q >= 2k + d: from order k + 2 on through
     dimension 4.  At INNER_ORDER the 3-D rule has about 1.8 million nodes.
+
+    The table is built once per process for every set equal to V and each
+    order (the key is the set's value, not the object), on first use:
+    `terms` is a tuple and B and the weights are read-only.
     """
     d = V.dimension
-    terms = [BernoulliSplineTerm(cls) for cls in V.classes]
+    terms = tuple(BernoulliSplineTerm(cls) for cls in V.classes)
     cuts = [ridge_cut(t.hyperplane.alpha, t.degree) for t in terms]
     pts, wts = quadrature.cell_rule([0.0] * d, [1.0] * d, cuts, order)
     B = np.stack([t.evaluate(pts) for t in terms], axis=-1)
+    for a in (B, wts):
+        a.flags.writeable = False
     return terms, B, wts
 
 
@@ -95,7 +161,11 @@ def error_constant(f, V, p: float) -> float:
     the Gram matrices of the class derivatives and of the ridge terms on
     the same nodes.  The cross terms are kept, so this measures the
     orthogonality that `error_constant_l2` assumes.  G_B is taken on the
-    cell rule of order k + 2 (k = margin + 1), on which it is exact.
+    cell rule of order k + 2 (k = margin + 1), on which it is exact.  For
+    an f with `factor_derivative` (Gaussian, bump), G_D comes from the
+    per-axis moment matrices of `_derivative_gram`, the same sum on the same
+    outer rule up to rounding; any other f forms D from
+    `directional_derivative` at every outer node.
     Other p sum |D B^T|^p, which is no polynomial, directly on the rule of
     order INNER_ORDER, CHUNK_ROWS outer nodes at a time; in 3-D one such
     block would take about 30 GB, so p other than 2 above dimension 2
@@ -109,14 +179,12 @@ def error_constant(f, V, p: float) -> float:
             f"p = {p} sums |D B^T|^p over the 1.8 million nodes of the 3-D cell rule, about "
             f"30 GB per {CHUNK_ROWS} outer nodes; above dimension 2 only p = 2 is supported")
     terms, B, xwts = _ridge_cell_table(V, V.margin + 3 if p == 2 else INNER_ORDER)
-    tpts, twts = _outer_rule(f, OUTER_ORDER)
-    D = np.stack(
-        [directional_derivative(f, t.hyperplane.members, tpts) for t in terms], axis=-1
-    )
+    members = [t.hyperplane.members for t in terms]
     if p == 2:
-        gram_d = (D.T * twts) @ D
         gram_b = (B.T * xwts) @ B
-        return float(np.sum(gram_d * gram_b))
+        return float(np.sum(_derivative_gram(f, members) * gram_b))
+    tpts, twts = _outer_rule(f, OUTER_ORDER)
+    D = np.stack([directional_derivative(f, m, tpts) for m in members], axis=-1)
     total = 0.0
     for start in range(0, len(tpts), CHUNK_ROWS):
         S = D[start:start + CHUNK_ROWS] @ B.T
@@ -129,15 +197,22 @@ def error_constant_l2(f, V) -> float:
 
     Distinct classes have non-parallel normals, so their lattice Fourier
     supports meet only at zero; the cross terms drop and the constant is
-    a weighted sum of squared directional-derivative norms.
+    a weighted sum of squared directional-derivative norms.  For an f with
+    `factor_derivative` these norms are the diagonal of one
+    `_derivative_gram` over all classes; any other f takes
+    `sobolev_product_norm` class by class at the outer nodes.
     """
     V = _coerce(V)
     deg = V.margin + 1
     period_norm = float(bernoulli_l2_norm_sq(deg))
+    if hasattr(f, "factor_derivative"):
+        norms = np.diag(_derivative_gram(f, [cls.members for cls in V.classes]))
+    else:
+        norms = [sobolev_product_norm(f, cls.members, p=2.0) for cls in V.classes]
     total = 0.0
-    for cls in V.classes:
+    for cls, norm in zip(V.classes, norms):
         weight = period_norm * float(cls.scale) ** 2
-        total += weight * sobolev_product_norm(f, cls.members, p=2.0)
+        total += weight * float(norm)
     return float(total)
 
 

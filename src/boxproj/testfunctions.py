@@ -23,11 +23,22 @@ bump in 2-D and 3-D, `value` takes one exp of the summed exponent and
 the product one exp per axis, so they differ by an amount that grows
 with the exponent: at most 47 ulp (Gaussian) and 123 ulp (bump) at the
 points of `TestColumnKernels`, where the exponent falls to -42 and -198.
+
+A Gaussian and a bump also give their factor derivatives:
+`factor_derivative(axis, order, t)` is the (order + 1, len(t)) array of
+phi_axis^(b) at t for b = 0..order, so that D^beta f(x) =
+prod_j phi_j^(beta_j)(x_j).  `asymptotics` builds the p = 2 limit constants
+from their per-axis moments for any f that has it.  In 1-D each row is
+`derivative` bit for bit.  The derivative polynomials behind both methods
+are built once and kept as read-only arrays: a Gaussian's p_k per
+instance, a bump's N_k, which depends on k alone, per process.  A
+monomial has no effective box and no `factor_derivative`.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -90,14 +101,17 @@ class Gaussian(TestFunction):
             raise ValueError(f"scale must be finite and positive, got {scale}")
         self.scale = scale
         self._a = math.pi / self.scale ** 2
+        self._polys = [_read_only(np.array([1.0]))]
 
     def _factor_poly(self, k: int):
-        # phi(t) = exp(-a t^2), phi^(k) = p_k(t) phi(t),
-        # p_{k+1} = p_k' - 2 a t p_k
-        poly = np.array([1.0])
-        for _ in range(k):
-            poly = P.polysub(P.polyder(poly), 2.0 * self._a * P.polymulx(poly))
-        return poly
+        """p_k, read-only: phi(t) = exp(-a t^2), phi^(k) = p_k(t) phi(t),
+        p_{k+1} = p_k' - 2 a t p_k.  Each order is built once per instance,
+        by continuing the recurrence from the highest order built so far."""
+        polys = self._polys
+        while len(polys) <= k:
+            poly = polys[-1]
+            polys.append(_read_only(P.polysub(P.polyder(poly), 2.0 * self._a * P.polymulx(poly))))
+        return polys[k]
 
     def derivative(self, beta, x):
         beta = self._index(beta)
@@ -118,6 +132,16 @@ class Gaussian(TestFunction):
         out = t * t
         out *= -self._a
         np.exp(out, out=out)
+        return out
+
+    def factor_derivative(self, axis: int, order: int, t):
+        """phi^(b)(t) = p_b(t) exp(-a t^2) for b = 0, ..., order, as the
+        rows of an (order + 1, len(t)) array."""
+        t = np.asarray(t, dtype=float)
+        base = self.factor(axis, t)
+        out = np.empty((order + 1, len(t)))
+        for b in range(order + 1):
+            np.multiply(base, P.polyval(t, self._factor_poly(b)), out=out[b])
         return out
 
     def effective_box(self):
@@ -141,18 +165,18 @@ class Bump(TestFunction):
         self.radius = radius
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def _numerator_poly(k: int):
-        # psi^(k)(t) = N_k(t) (1-t^2)^(-2k) psi(t) with
-        # N_{k+1} = N_k' (1-t^2)^2 + (4 k t (1-t^2) - 2 t) N_k
+        """N_k, read-only: psi^(k)(t) = N_k(t) (1-t^2)^(-2k) psi(t) with
+        N_{k+1} = N_k' (1-t^2)^2 + (4 k t (1-t^2) - 2 t) N_k."""
+        if k == 0:
+            return _read_only(np.array([1.0]))
+        poly = Bump._numerator_poly(k - 1)
         q = np.array([1.0, 0.0, -1.0])  # 1 - t^2
-        q2 = P.polymul(q, q)
-        poly = np.array([1.0])
-        for j in range(k):
-            lead = P.polymul(P.polyder(poly), q2)
-            mid = P.polymul(np.array([0.0, 4.0 * j]), q)
-            mid = P.polysub(mid, np.array([0.0, 2.0]))
-            poly = P.polyadd(lead, P.polymul(mid, poly))
-        return poly
+        lead = P.polymul(P.polyder(poly), P.polymul(q, q))
+        mid = P.polymul(np.array([0.0, 4.0 * (k - 1)]), q)
+        mid = P.polysub(mid, np.array([0.0, 2.0]))
+        return _read_only(P.polyadd(lead, P.polymul(mid, poly)))
 
     def derivative(self, beta, x):
         beta = self._index(beta)
@@ -182,6 +206,21 @@ class Bump(TestFunction):
         out = np.zeros(s.shape)
         si = s[inside]
         out[inside] = np.exp(1.0 - 1.0 / (1.0 - si * si))
+        return out
+
+    def factor_derivative(self, axis: int, order: int, t):
+        """psi^(b)(t) = N_b(s) (1 - s^2)^(-2b) psi(s) / r^b, s = t / r, for
+        b = 0, ..., order, as the rows of an (order + 1, len(t)) array; zero
+        where |s| >= 1."""
+        s = np.asarray(t, dtype=float) / self.radius
+        inside = np.abs(s) < 1.0
+        out = np.zeros((order + 1, len(s)))
+        si = s[inside]
+        q = 1.0 - si * si
+        val = np.exp(1.0 - 1.0 / q)
+        for b in range(order + 1):
+            num = P.polyval(si, self._numerator_poly(b))
+            out[b, inside] = val * num / q ** (2 * b) / self.radius ** b
         return out
 
     def effective_box(self):
@@ -239,6 +278,11 @@ class Monomial(TestFunction):
 
     def rescale(self, factor: float) -> "Monomial":
         raise NotImplementedError("monomials do not rescale within the family")
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _power(col, k: int):

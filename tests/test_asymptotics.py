@@ -17,11 +17,17 @@ from boxproj import (
     preset,
 )
 from boxproj import quadrature
-from boxproj.asymptotics import _extrapolate, _outer_rule
-from boxproj.bernoulli import BernoulliSplineTerm, bernoulli_interior_roots
+from boxproj.asymptotics import (
+    OUTER_ORDER,
+    _extrapolate,
+    _outer_rule,
+    _ridge_cell_table,
+    sobolev_product_norm,
+)
+from boxproj.bernoulli import BernoulliSplineTerm, bernoulli_interior_roots, bernoulli_l2_norm_sq
 from boxproj.checks import _nested_directional_derivative
 from boxproj.lattice import hyperplane_classes
-from boxproj.testfunctions import finite_difference, gaussian
+from boxproj.testfunctions import bump, finite_difference, gaussian
 
 
 class TestDirectionalDerivative:
@@ -156,6 +162,139 @@ class TestGramRoute:
                 error_constant(f, SET_3D, p)
         with pytest.raises(UnsupportedDimensionError, match="1.8 million"):
             norm_equivalence_constants(SET_3D, 2.0, samples=10)
+
+
+MOMENT_SETS = ("bspline(2)", "bspline(3)", "tensor(1,1)", "tensor(2,2)", "courant", "courant2",
+               "3d")
+MOMENT_FUNCTIONS = ((gaussian, 0.8), (gaussian, 1.25), (bump, 2.0), (bump, 3.0))
+
+
+def _pointwise_gram_d(f, vector_lists):
+    """Reference G_D: the class derivatives from `directional_derivative`
+    at every node of the outer rule."""
+    tpts, twts = _outer_rule(f, OUTER_ORDER)
+    D = np.stack([directional_derivative(f, vs, tpts) for vs in vector_lists], axis=-1)
+    return (D.T * twts) @ D
+
+
+def _gram_b(V):
+    _, B, xwts = _ridge_cell_table(V, V.margin + 3)
+    return (B.T * xwts) @ B
+
+
+def _class_weights(V):
+    norm = float(bernoulli_l2_norm_sq(V.margin + 1))
+    return np.array([norm * float(cls.scale) ** 2 for cls in V.classes])
+
+
+class PointwiseOnly:
+    """A test function seen through `derivative` and `effective_box` alone."""
+
+    def __init__(self, f):
+        self.f = f
+        self.calls = 0
+
+    def derivative(self, beta, x):
+        self.calls += 1
+        return self.f.derivative(beta, x)
+
+    def effective_box(self):
+        return self.f.effective_box()
+
+
+class ShiftedProduct:
+    """prod_j g_j(x_j - c_j) for 1-D Gaussians g_j of different scales: a
+    product f whose factors, moments and support box differ by axis."""
+
+    def __init__(self, scales, centers):
+        self.axes = [gaussian(1, s) for s in scales]
+        self.centers = np.asarray(centers, dtype=float)
+
+    def derivative(self, beta, x):
+        x = np.atleast_2d(x) - self.centers
+        out = np.ones(len(x))
+        for j, (g, b) in enumerate(zip(self.axes, beta)):
+            out = out * g.derivative((b,), x[:, j:j + 1])
+        return out
+
+    def factor_derivative(self, axis, order, t):
+        return self.axes[axis].factor_derivative(0, order, np.asarray(t) - self.centers[axis])
+
+    def effective_box(self):
+        boxes = [g.effective_box() for g in self.axes]
+        return (np.array([b[0][0] for b in boxes]) + self.centers,
+                np.array([b[1][0] for b in boxes]) + self.centers)
+
+
+class TestMomentRoute:
+    """At p = 2 a Gaussian or a bump takes G_D from per-axis moment
+    matrices; it must match the pointwise G_D on the same outer rule."""
+
+    @pytest.mark.parametrize("name", MOMENT_SETS)
+    def test_matches_pointwise_class_gram(self, name):
+        V = SET_3D if name == "3d" else preset(name)
+        members = [cls.members for cls in V.classes]
+        gram_b, weights = _gram_b(V), _class_weights(V)
+        for family, size in MOMENT_FUNCTIONS:
+            f = family(V.dimension, size)
+            gram_d = _pointwise_gram_d(f, members)
+            want = float(np.sum(gram_d * gram_b))
+            assert abs(error_constant(f, V, 2.0) - want) <= 1e-13 * want, (family, size)
+            want = float(weights @ np.diag(gram_d))
+            assert abs(error_constant_l2(f, V) - want) <= 1e-13 * want, (family, size)
+
+    # classes that no permutation of the axes maps onto themselves, so that
+    # a mix-up of the axes' moments shows
+    @pytest.mark.parametrize("vectors", [
+        [(1, 0), (0, 1), (0, 1), (1, 1)],
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)],
+    ], ids=["2d", "3d"])
+    def test_axes_kept_apart(self, vectors):
+        V = DirectionSet(vectors)
+        f = ShiftedProduct([0.7, 1.1, 0.9][:V.dimension], [0.3, -0.45, 0.2][:V.dimension])
+        members = [cls.members for cls in V.classes]
+        gram_d = _pointwise_gram_d(f, members)
+        want = float(np.sum(gram_d * _gram_b(V)))
+        assert abs(error_constant(f, V, 2.0) - want) <= 1e-13 * want
+        want = float(_class_weights(V) @ np.diag(gram_d))
+        assert abs(error_constant_l2(f, V) - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("name", ["bspline(3)", "courant", "courant2"])
+    def test_wrapper_takes_pointwise_route(self, name):
+        V = preset(name)
+        f = gaussian(V.dimension, 1.25)
+        g = PointwiseOnly(f)
+        quad = error_constant(g, V, 2.0)
+        assert g.calls > 0
+        members = [cls.members for cls in V.classes]
+        assert quad == float(np.sum(_pointwise_gram_d(f, members) * _gram_b(V)))
+        assert abs(quad - error_constant(f, V, 2.0)) <= 1e-13 * quad
+        closed = error_constant_l2(g, V)
+        assert abs(closed - error_constant_l2(f, V)) <= 1e-13 * closed
+
+    def test_sobolev_product_norm_any_vectors(self):
+        vectors = [(1, 2), (1, -1), (0, 1)]
+        for f in (gaussian(2, 0.9), bump(2, 2.0)):
+            want = _pointwise_gram_d(f, [vectors])[0, 0]
+            got = sobolev_product_norm(f, vectors, p=2.0)
+            assert abs(got - want) <= 1e-13 * want
+            # other p keep the pointwise sum
+            assert sobolev_product_norm(f, vectors, p=3.0) == sobolev_product_norm(
+                PointwiseOnly(f), vectors, p=3.0)
+
+
+class TestRidgeCellTable:
+    def test_cached_on_the_set_value(self):
+        vectors = preset("courant").vectors
+        first = _ridge_cell_table(DirectionSet(vectors), 4)
+        assert _ridge_cell_table(DirectionSet(list(vectors)), 4) is first
+        assert isinstance(first[0], tuple)
+
+    def test_arrays_are_read_only(self):
+        _, B, wts = _ridge_cell_table(preset("courant2"), 5)
+        for a in (B, wts):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
 
 
 BAD_EXPONENTS = [0.0, 0.5, -1.0, np.inf, np.nan]

@@ -237,3 +237,47 @@ class TestColumnKernels:
     def test_wrong_length_multi_index_rejected(self, f, beta):
         with pytest.raises(ValueError, match="dimension"):
             f.derivative(beta, np.ones((3, 2)))
+
+
+class TestFactorDerivatives:
+    @pytest.mark.parametrize("f", [gaussian(1, 1.3), bump(1, 2.5)], ids=lambda f: f.tag)
+    def test_rows_are_the_1d_derivatives_bitwise(self, f):
+        # in 1-D, f.derivative((b,), t) is phi^(b)(t) with the same
+        # operations in the same order
+        t = np.random.default_rng(3).uniform(-3.0, 3.0, size=50)
+        rows = f.factor_derivative(0, 4, t)
+        assert rows.shape == (5, len(t))
+        for b in range(5):
+            assert rows[b].tobytes() == f.derivative((b,), t[:, None]).tobytes(), b
+
+    @pytest.mark.parametrize("f", [gaussian(3, 0.9), bump(3, 2.0)], ids=lambda f: f.tag)
+    def test_products_are_the_partials(self, f):
+        rng = np.random.default_rng(4)
+        pts = rng.uniform(-1.8, 1.8, size=(30, 3))
+        rows = [f.factor_derivative(j, 3, pts[:, j]) for j in range(3)]
+        for beta in itertools.product(range(4), repeat=3):
+            got = rows[0][beta[0]] * rows[1][beta[1]] * rows[2][beta[2]]
+            want = f.derivative(beta, pts)
+            assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max()), beta
+
+    def test_monomial_has_none(self):
+        assert not hasattr(monomial((1, 2)), "factor_derivative")
+
+    def test_derivative_polynomials_built_once_and_read_only(self):
+        f = gaussian(2, 1.1)
+        p3 = f._factor_poly(3)
+        assert f._factor_poly(3) is p3
+        assert Bump._numerator_poly(3) is Bump._numerator_poly(3)
+        for poly in (p3, Bump._numerator_poly(3)):
+            with pytest.raises(ValueError):
+                poly[0] = 1.0
+
+    def test_derivative_polynomials_match_the_recurrence(self):
+        # the cached orders are the recurrence run from scratch, bit for bit
+        f = gaussian(1, 0.7)
+        f._factor_poly(6)
+        a = math.pi / 0.7 ** 2
+        poly = np.array([1.0])
+        for k in range(1, 7):
+            poly = P.polysub(P.polyder(poly), 2.0 * a * P.polymulx(poly))
+            assert f._factor_poly(k).tobytes() == poly.tobytes(), k
