@@ -33,7 +33,6 @@ from .lattice import (
 from .boxspline import (
     BoxSplineEvaluator,
     fourier_transform,
-    integral_identity_check,
     sinc_factor,
     sinc_factor_derivative,
     transform_derivative,
@@ -54,9 +53,7 @@ from .projection import (
     autocorrelation_table,
     build_model,
     error_norm,
-    gram_symbol_range,
     project,
-    residual_orthogonality,
     spline_values,
 )
 from .testfunctions import Bump, Gaussian, Monomial, TestFunction, bump, gaussian, monomial

@@ -109,11 +109,10 @@ def sobolev_product_norm(f, vectors, p: float = 2.0) -> float:
     """Integral of |prod (v.grad) f|^p over the effective support of f, on
     the outer rule.
 
-    At p = 2, an f with `factor_derivative` takes the moment route of
-    `_derivative_gram`; any other p or f sums `directional_derivative` over
-    the nodes of the outer rule.
+    At p = 2 this is the one entry of `_derivative_gram`; any other p sums
+    `directional_derivative` over the nodes of the outer rule.
     """
-    if p == 2 and hasattr(f, "factor_derivative"):
+    if p == 2:
         return float(_derivative_gram(f, [vectors])[0, 0])
     pts, wts = _outer_rule(f, OUTER_ORDER)
     vals = directional_derivative(f, vectors, pts)
@@ -161,11 +160,8 @@ def error_constant(f, V, p: float) -> float:
     the Gram matrices of the class derivatives and of the ridge terms on
     the same nodes.  The cross terms are kept, so this measures the
     orthogonality that `error_constant_l2` assumes.  G_B is taken on the
-    cell rule of order k + 2 (k = margin + 1), on which it is exact.  For
-    an f with `factor_derivative` (Gaussian, bump), G_D comes from the
-    per-axis moment matrices of `_derivative_gram`, the same sum on the same
-    outer rule up to rounding; any other f forms D from
-    `directional_derivative` at every outer node.
+    cell rule of order k + 2 (k = margin + 1), on which it is exact, and
+    G_D is `_derivative_gram`.
     Other p sum |D B^T|^p, which is no polynomial, directly on the rule of
     order INNER_ORDER, CHUNK_ROWS outer nodes at a time; in 3-D one such
     block would take about 30 GB, so p other than 2 above dimension 2
@@ -197,18 +193,13 @@ def error_constant_l2(f, V) -> float:
 
     Distinct classes have non-parallel normals, so their lattice Fourier
     supports meet only at zero; the cross terms drop and the constant is
-    a weighted sum of squared directional-derivative norms.  For an f with
-    `factor_derivative` these norms are the diagonal of one
-    `_derivative_gram` over all classes; any other f takes
-    `sobolev_product_norm` class by class at the outer nodes.
+    a weighted sum of squared directional-derivative norms, the diagonal
+    of one `_derivative_gram` over all classes.
     """
     V = _coerce(V)
     deg = V.margin + 1
     period_norm = float(bernoulli_l2_norm_sq(deg))
-    if hasattr(f, "factor_derivative"):
-        norms = np.diag(_derivative_gram(f, [cls.members for cls in V.classes]))
-    else:
-        norms = [sobolev_product_norm(f, cls.members, p=2.0) for cls in V.classes]
+    norms = np.diag(_derivative_gram(f, [cls.members for cls in V.classes]))
     total = 0.0
     for cls, norm in zip(V.classes, norms):
         weight = period_norm * float(cls.scale) ** 2

@@ -23,8 +23,6 @@ from . import quadrature
 TWO_PI_I = 2j * np.pi
 INNER_ORDER = 16  # Gauss order of the cut cell rule of the ridge terms
 SERIES_CHUNK = 1 << 14  # table entries per block of points in progression_sum (cache-sized)
-NORM_SERIES_BASE = 64  # first truncation of the Fourier-side norm series
-NORM_SERIES_LEVELS = 6  # doublings of it that the Neville extrapolation combines
 
 
 @lru_cache(maxsize=None)
@@ -77,31 +75,6 @@ def bernoulli_l2_norm_sq(k: int) -> Fraction:
     """Exact integral over one period of the squared degree-k function."""
     nums = bernoulli_numbers(2 * k)
     return Fraction((-1) ** (k - 1)) * nums[2 * k] / math.factorial(2 * k)
-
-
-def bernoulli_l2_norm_sq_series(k: int) -> float:
-    """Squared L2 norm over a period, from the Fourier side.
-
-    By orthogonality the integral equals 2 sum_{n>0} (2 pi n)^(-2k).  Raw
-    truncation converges like N^(1-2k), hopeless for k = 1 at tight
-    tolerances, but the tail expands in integer powers of 1/N, so Neville
-    extrapolation of the partial sums over a doubling ladder of N recovers
-    the limit to near machine precision.
-    """
-    xs, vals = [], []
-    for j in range(NORM_SERIES_LEVELS):
-        n_max = NORM_SERIES_BASE << j
-        n = np.arange(1, n_max + 1, dtype=float)
-        xs.append(1.0 / n_max)
-        vals.append(2.0 * float(np.sum((2.0 * np.pi * n) ** (-2 * k))))
-    table = list(vals)
-    for m in range(1, NORM_SERIES_LEVELS):
-        nxt = []
-        for i in range(NORM_SERIES_LEVELS - m):
-            num = table[i + 1] * xs[i] - table[i] * xs[i + m]
-            nxt.append(num / (xs[i] - xs[i + m]))
-        table = nxt
-    return table[0]
 
 
 @lru_cache(maxsize=None)
@@ -181,42 +154,12 @@ class BernoulliSplineTerm:
         )
         return bernoulli_periodic(self.degree, dots) * float(self.scale)
 
-    def series(self, x, radius: int):
-        """Partial Fourier sum over multiples k alpha with |k| <= radius."""
-        _check_radius(radius)
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = np.atleast_2d(x)
-        dots = pts @ np.array(self.hyperplane.alpha, dtype=float)
-        coefs = 1.0 / (TWO_PI_I * np.arange(1, radius + 1)) ** self.degree
-        acc = progression_sum(dots, coefs, np.conj(coefs)) * float(self.scale)
-        return acc[0] if single else acc
-
 
 def ridge_cut(alpha, k: int) -> quadrature.CutFamily:
     """Cut family of a degree-k ridge term of normal alpha: its kinks at the
     integers and its sign changes at the interior Bernoulli roots."""
     return quadrature.CutFamily(tuple(float(a) for a in alpha), 1.0,
                                 (0.0,) + bernoulli_interior_roots(k))
-
-
-def periodic_lp_power(k: int, p: float) -> float:
-    """Integral over one period of |B_k|^p, split at the sign changes."""
-    pts, wts = quadrature.cell_rule([0.0], [1.0], (ridge_cut((1,), k),), INNER_ORDER)
-    return float(np.dot(wts, np.abs(bernoulli_periodic(k, pts[:, 0])) ** p))
-
-
-def ridge_lp_power(term: BernoulliSplineTerm, p: float) -> float:
-    """Integral over one lattice cell of |term|^p.
-
-    Factorizes as the period integral of |B_deg|^p times |scale|^p; this
-    computes the left side directly by cut-aware cell quadrature so the
-    factorization can be tested rather than assumed.
-    """
-    d = len(term.hyperplane.alpha)
-    cuts = (ridge_cut(term.hyperplane.alpha, term.degree),)
-    pts, wts = quadrature.cell_rule([0.0] * d, [1.0] * d, cuts, INNER_ORDER)
-    return float(np.dot(wts, np.abs(term.evaluate(pts)) ** p))
 
 
 @dataclass(frozen=True)

@@ -331,29 +331,3 @@ class BoxSplineEvaluator:
             out /= total - d
         memo[key] = out
         return out
-
-
-def integral_identity_check(V, f, order: int = 12):
-    """Both sides of the defining identity: pair f with the spline two ways.
-
-    Left: integral of f(x) B(x) over the support.  Right: integral of
-    f(V u) over the unit cube in R^n.  Only sensible for n <= 5 (the right
-    side is an n-dimensional tensor rule).
-    """
-    V = _coerce(V)
-    n = len(V)
-    if n > 5:
-        raise ValueError("defining-identity check supported for n <= 5 only")
-    spline = BoxSplineEvaluator(V)
-    lhs = quadrature.integrate(
-        lambda X: f(X) * spline(X),
-        spline.support_lo,
-        spline.support_hi,
-        cuts=spline.quadrature_cuts(1.0),
-        order=order,
-        spacing=1.0,
-    )
-    mat = np.array(V.vectors, dtype=float)
-    pts, wts = quadrature.tensor_rule([0.0] * n, [1.0] * n, order)
-    rhs = np.dot(wts, f(pts @ mat))
-    return lhs, rhs

@@ -1,9 +1,12 @@
-"""Fast invariant battery behind `boxproj check`.
+"""Second routes, and the invariant battery behind `boxproj check`.
 
-Each check returns a measured value and a tolerance; the CLI renders them
-as machine-readable lines.  The battery favors breadth over depth: the
-exhaustive versions live in the test suite, this module is the smoke
-screen a deployment can run in under a minute.
+Every function here recomputes something the library computes, by an
+independent route that no library path calls; the tests and the battery
+compare the two.  Each check of `run_battery` returns a measured value
+and a tolerance, and the CLI renders them as machine-readable lines.  The
+battery favors breadth over depth: the exhaustive versions live in the
+test suite, the battery is the smoke screen a deployment can run in under
+a minute.
 """
 
 from __future__ import annotations
@@ -26,8 +29,6 @@ from . import (
     error_constant,
     error_constant_l2,
     error_expansion,
-    gram_symbol_range,
-    integral_identity_check,
     monomial,
     monomial_error_series,
     multi_indices,
@@ -35,13 +36,18 @@ from . import (
     gaussian,
     preset,
     project,
-    residual_orthogonality,
     spline_values,
     transform_derivative,
 )
-from .bernoulli import bernoulli_l2_norm_sq_series, bernoulli_periodic
+from .bernoulli import INNER_ORDER, BernoulliSplineTerm, bernoulli_periodic, ridge_cut
 from .boxspline import _leibniz_derivative
+from .lattice import _coerce
+from .projection import RULE_ORDER, CoefficientField, SplineSpaceModel, _gram_symbol, _value_fn
 from . import quadrature
+
+NORM_SERIES_BASE = 64  # first truncation of the Fourier-side norm series
+NORM_SERIES_LEVELS = 6  # doublings of it that the Neville extrapolation combines
+SYMBOL_GRID = 64  # frequencies per axis at which gram_symbol_range samples the symbol
 
 
 @dataclass
@@ -95,6 +101,141 @@ def _nested_directional_derivative(f, vectors, t):
         if coef != 0:
             out = out + coef * np.asarray(f.derivative(tuple(picks.count(j) for j in range(d)), t))
     return out
+
+
+def integral_identity_check(V, f, order: int = 12):
+    """Both sides of the defining identity: pair f with the spline two ways.
+
+    Left: integral of f(x) B(x) over the support.  Right: integral of
+    f(V u) over the unit cube in R^n.  Only sensible for n <= 5 (the right
+    side is an n-dimensional tensor rule).
+    """
+    V = _coerce(V)
+    n = len(V)
+    if n > 5:
+        raise ValueError("defining-identity check supported for n <= 5 only")
+    spline = BoxSplineEvaluator(V)
+    lhs = quadrature.integrate(
+        lambda X: f(X) * spline(X),
+        spline.support_lo,
+        spline.support_hi,
+        cuts=spline.quadrature_cuts(1.0),
+        order=order,
+        spacing=1.0,
+    )
+    mat = np.array(V.vectors, dtype=float)
+    pts, wts = quadrature.tensor_rule([0.0] * n, [1.0] * n, order)
+    rhs = np.dot(wts, f(pts @ mat))
+    return lhs, rhs
+
+
+def bernoulli_l2_norm_sq_series(k: int) -> float:
+    """Squared L2 norm over a period, from the Fourier side.
+
+    By orthogonality the integral equals 2 sum_{n>0} (2 pi n)^(-2k).  Raw
+    truncation converges like N^(1-2k), hopeless for k = 1 at tight
+    tolerances, but the tail expands in integer powers of 1/N, so Neville
+    extrapolation of the partial sums over a doubling ladder of N recovers
+    the limit to near machine precision.
+    """
+    xs, vals = [], []
+    for j in range(NORM_SERIES_LEVELS):
+        n_max = NORM_SERIES_BASE << j
+        n = np.arange(1, n_max + 1, dtype=float)
+        xs.append(1.0 / n_max)
+        vals.append(2.0 * float(np.sum((2.0 * np.pi * n) ** (-2 * k))))
+    table = list(vals)
+    for m in range(1, NORM_SERIES_LEVELS):
+        nxt = []
+        for i in range(NORM_SERIES_LEVELS - m):
+            num = table[i + 1] * xs[i] - table[i] * xs[i + m]
+            nxt.append(num / (xs[i] - xs[i + m]))
+        table = nxt
+    return table[0]
+
+
+def periodic_lp_power(k: int, p: float) -> float:
+    """Integral over one period of |B_k|^p, split at the sign changes."""
+    pts, wts = quadrature.cell_rule([0.0], [1.0], (ridge_cut((1,), k),), INNER_ORDER)
+    return float(np.dot(wts, np.abs(bernoulli_periodic(k, pts[:, 0])) ** p))
+
+
+def ridge_lp_power(term: BernoulliSplineTerm, p: float) -> float:
+    """Integral over one lattice cell of |term|^p.
+
+    Factorizes as the period integral of |B_deg|^p times |scale|^p; this
+    computes the left side directly by cut-aware cell quadrature so the
+    factorization can be tested rather than assumed.
+    """
+    d = len(term.hyperplane.alpha)
+    cuts = (ridge_cut(term.hyperplane.alpha, term.degree),)
+    pts, wts = quadrature.cell_rule([0.0] * d, [1.0] * d, cuts, INNER_ORDER)
+    return float(np.dot(wts, np.abs(term.evaluate(pts)) ** p))
+
+
+def residual_orthogonality(f, model: SplineSpaceModel, coeffs: CoefficientField,
+                           alphas) -> float:
+    """Max over the given shifts of |<f - Pf, B(./h - alpha)>|, recomputed
+    by direct quadrature (independent of the assembly path)."""
+    fv = _value_fn(f)
+    h = model.h
+    zlo, zhi = model.evaluator.support_lo, model.evaluator.support_hi
+    cuts = model.evaluator.quadrature_cuts(h)
+    worst = 0.0
+    for alpha in alphas:
+        a = np.asarray(alpha, dtype=float)
+
+        def integrand(X, a=a):
+            diff = fv(X) - spline_values(model, coeffs, X)
+            return diff * model.evaluator(X / h - a)
+
+        val = quadrature.integrate(
+            integrand, h * (a + zlo), h * (a + zhi), cuts=cuts, order=RULE_ORDER, spacing=h
+        )
+        worst = max(worst, abs(float(val)))
+    return worst
+
+
+def gram_symbol_range(V) -> tuple[float, float]:
+    """Min and max of the Gram symbol sum_gamma a(gamma) cos(2 pi gamma.w),
+    over SYMBOL_GRID points per axis of the unit cell of frequencies w:
+    the `_gram_symbol` of the table on that grid, the symbol `project`
+    preconditions with.
+
+    A positive minimum certifies the shifts form a Riesz basis, hence the
+    normal equations are uniformly well posed.
+    """
+    V = _coerce(V)
+    sym = _gram_symbol(autocorrelation_table(V), (SYMBOL_GRID,) * V.dimension)
+    return float(sym.min()), float(sym.max())
+
+
+def finite_difference(f, beta, x, step: float = 1e-2):
+    """Central finite difference of D^beta f at a single point x.
+
+    Richardson-extrapolated once; used to self-test the closed forms.
+    """
+    beta = MultiIndex.of(beta)
+    x = np.asarray(x, dtype=float)
+
+    def diff(g, axis, h):
+        def out(y):
+            e = np.zeros_like(x)
+            e[axis] = h
+            return (g(y + e) - g(y - e)) / (2.0 * h)
+
+        return out
+
+    def nested(h):
+        g = lambda y: f.value(y)
+        for axis, bj in enumerate(beta):
+            for _ in range(bj):
+                g = diff(g, axis, h)
+        return g(x)
+
+    coarse = nested(step)
+    fine = nested(step / 2.0)
+    return (4.0 * fine - coarse) / 3.0
 
 
 def run_battery(perturb_gram: float = 0.0) -> list[CheckResult]:

@@ -87,6 +87,22 @@ class ExperimentConfig:
         "tolerance", "grid", "series_radius", "norm_order",
     }
 
+    def __post_init__(self):
+        """Reject a list-valued key of the wrong shape on entry, before a
+        command unpacks or iterates it."""
+        seq = (list, tuple)
+        for key in ("box", "domain"):
+            val = self.raw.get(key)
+            if val is not None and not (isinstance(val, seq) and len(val) == 2
+                                        and all(isinstance(c, seq) for c in val)):
+                raise ConfigError(f"{key} must be two corners [[lo...], [hi...]], got {val!r}")
+        ladder, exps = self.raw.get("ladder"), self.raw.get("exponents")
+        if ladder is not None and not (isinstance(ladder, seq) and ladder and all(
+                isinstance(h, (int, float, Fraction)) and not isinstance(h, bool) for h in ladder)):
+            raise ConfigError(f"ladder must be a nonempty list of mesh sizes, got {ladder!r}")
+        if exps is not None and not isinstance(exps, seq):
+            raise ConfigError(f"exponents must be a list of integers, got {exps!r}")
+
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
         raw = {}
@@ -231,7 +247,7 @@ def cmd_lbeta(cfg: ExperimentConfig, args) -> int:
     beta = MultiIndex.of((beta,) if isinstance(beta, int) else beta)
     if beta.order > V.margin + 1:
         raise ConfigError("beta order exceeds margin + 1")
-    radius = cfg.get("series_radius", 400)
+    radius = cfg.integer("series_radius", 400)
     pts = quadrature.sample_grid(V.dimension, cfg.integer("grid", 17))
     closed = error_expansion(V, beta).evaluate(pts)
     series = monomial_error_series(V, beta, pts, radius).real

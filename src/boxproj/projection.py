@@ -27,7 +27,6 @@ MAX_UNKNOWNS = 600_000
 RESIDUAL_TOL = 1e-12
 GRAM_DROP = 1e-14
 RULE_ORDER = 10  # Gauss-Legendre order of the cell rule behind the model's tables
-SYMBOL_GRID = 64  # frequencies per axis at which gram_symbol_range samples the symbol
 
 
 class SolverError(RuntimeError):
@@ -596,40 +595,3 @@ def error_norm(f, model: SplineSpaceModel, coeffs: CoefficientField, p: float,
         power += float(np.sum(diff @ weights))
     power *= h ** d
     return power ** (1.0 / p), power
-
-
-def residual_orthogonality(f, model: SplineSpaceModel, coeffs: CoefficientField,
-                           alphas) -> float:
-    """Max over the given shifts of |<f - Pf, B(./h - alpha)>|, recomputed
-    by direct quadrature (independent of the assembly path)."""
-    fv = _value_fn(f)
-    h = model.h
-    zlo, zhi = model.evaluator.support_lo, model.evaluator.support_hi
-    cuts = model.evaluator.quadrature_cuts(h)
-    worst = 0.0
-    for alpha in alphas:
-        a = np.asarray(alpha, dtype=float)
-
-        def integrand(X, a=a):
-            diff = fv(X) - spline_values(model, coeffs, X)
-            return diff * model.evaluator(X / h - a)
-
-        val = quadrature.integrate(
-            integrand, h * (a + zlo), h * (a + zhi), cuts=cuts, order=RULE_ORDER, spacing=h
-        )
-        worst = max(worst, abs(float(val)))
-    return worst
-
-
-def gram_symbol_range(V) -> tuple[float, float]:
-    """Min and max of the Gram symbol sum_gamma a(gamma) cos(2 pi gamma.w),
-    over SYMBOL_GRID points per axis of the unit cell of frequencies w:
-    the `_gram_symbol` of the table on that grid, the symbol `project`
-    preconditions with.
-
-    A positive minimum certifies the shifts form a Riesz basis, hence the
-    normal equations are uniformly well posed.
-    """
-    V = _coerce(V)
-    sym = _gram_symbol(autocorrelation_table(V), (SYMBOL_GRID,) * V.dimension)
-    return float(sym.min()), float(sym.max())

@@ -306,31 +306,3 @@ def bump(dim: int, radius: float = 3.0) -> Bump:
 
 def monomial(exponents) -> Monomial:
     return Monomial(exponents)
-
-
-def finite_difference(f, beta, x, step: float = 1e-2):
-    """Central finite difference of D^beta f at a single point x.
-
-    Richardson-extrapolated once; used to self-test the closed forms.
-    """
-    beta = MultiIndex.of(beta)
-    x = np.asarray(x, dtype=float)
-
-    def diff(g, axis, h):
-        def out(y):
-            e = np.zeros_like(x)
-            e[axis] = h
-            return (g(y + e) - g(y - e)) / (2.0 * h)
-
-        return out
-
-    def nested(h):
-        g = lambda y: f.value(y)
-        for axis, bj in enumerate(beta):
-            for _ in range(bj):
-                g = diff(g, axis, h)
-        return g(x)
-
-    coarse = nested(step)
-    fine = nested(step / 2.0)
-    return (4.0 * fine - coarse) / 3.0

@@ -17,7 +17,6 @@ from boxproj import (
     convergence_sweep,
     directional_derivative,
     error_constant_l2,
-    gram_symbol_range,
     preset,
     project,
     spline_values,
@@ -25,15 +24,19 @@ from boxproj import (
 from boxproj.bernoulli import (
     BernoulliSplineTerm,
     bernoulli_l2_norm_sq,
-    bernoulli_l2_norm_sq_series,
     bernoulli_periodic,
     error_expansion,
     monomial_error_series,
+)
+from boxproj.boxspline import transform_derivative
+from boxproj.checks import (
+    _leibniz_transform_derivative,
+    bernoulli_l2_norm_sq_series,
+    gram_symbol_range,
+    integral_identity_check,
     periodic_lp_power,
     ridge_lp_power,
 )
-from boxproj.boxspline import integral_identity_check, transform_derivative
-from boxproj.checks import _leibniz_transform_derivative
 from boxproj.lattice import hyperplane_classes, multi_indices, nonorthogonal_directions
 from boxproj.quadrature import CutFamily, integrate, sample_grid
 from boxproj.testfunctions import bump, gaussian, monomial

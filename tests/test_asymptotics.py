@@ -27,7 +27,7 @@ from boxproj.asymptotics import (
 from boxproj.bernoulli import BernoulliSplineTerm, bernoulli_interior_roots, bernoulli_l2_norm_sq
 from boxproj.checks import _nested_directional_derivative
 from boxproj.lattice import hyperplane_classes
-from boxproj.testfunctions import bump, finite_difference, gaussian
+from boxproj.testfunctions import bump, gaussian
 
 
 class TestDirectionalDerivative:

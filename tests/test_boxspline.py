@@ -17,12 +17,12 @@ from boxproj import (
     BoxSplineEvaluator,
     DirectionSet,
     fourier_transform,
-    integral_identity_check,
     preset,
     transform_derivative,
     transform_derivatives,
 )
 from boxproj.boxspline import sinc_factor, sinc_factor_derivative
+from boxproj.checks import integral_identity_check
 from boxproj.checks import _leibniz_transform_derivative
 from boxproj.lattice import multi_indices
 

@@ -129,7 +129,7 @@ class TestLbeta:
         assert "unknown key 'series_mode'" in capsys.readouterr().err
         path = write_cfg(tmp_path, cfg)
         assert main(["lbeta", "--config", path, "--out", str(out)]) == 2
-        assert "error: series radius must be a positive integer" in capsys.readouterr().err
+        assert "error: series_radius must be a positive integer" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("grid", ["0", "-3", "2.5", "true"])
@@ -196,10 +196,17 @@ class TestProject:
         ("padding = true", "padding must be a nonnegative integer"),
         ("norm_order = 10.7", "norm_order must be a positive integer"),
         ("norm_order = 0", "norm_order must be a positive integer"),
-        ("norm_order = 21/2", "norm_order must be a positive integer")])
+        ("norm_order = 21/2", "norm_order must be a positive integer"),
+        ("box = 3", "box must be two corners"),
+        ("domain = 3", "domain must be two corners"),
+        ("ladder = 5", "ladder must be a nonempty list"),
+        ("ladder = [[1], 2]", "ladder must be a nonempty list"),
+        ("function = monomial\nexponents = 2", "exponents must be a list")])
     def test_integer_keys_must_be_integers(self, tmp_path, capsys, command, line, message):
         # truncating would run padding 2.5 as 2 and -0.5 as 0, past the
-        # negative-padding check, and norm_order 10.7 as 10
+        # negative-padding check, and norm_order 10.7 as 10; a scalar where
+        # a list belongs used to end in a TypeError and exit 1, the code of
+        # a failed convergence
         path = write_cfg(tmp_path, f"preset = bspline(2)\nfunction = gaussian\nh = 1/2\n"
                                    f"ladder = [1/2, 1/4]\n{line}\n")
         assert main([command, "--config", path]) == 2

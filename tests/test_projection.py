@@ -15,14 +15,12 @@ from boxproj import (
     autocorrelation_table,
     build_model,
     error_norm,
-    gram_symbol_range,
     preset,
     project,
-    residual_orthogonality,
     spline_values,
 )
 from boxproj import checks, projection, quadrature
-from boxproj.checks import _doubled_autocorrelation
+from boxproj.checks import _doubled_autocorrelation, gram_symbol_range, residual_orthogonality
 from boxproj.projection import _normal_operators, _right_hand_sides, cell_spline_table
 from boxproj import testfunctions
 from boxproj.testfunctions import bump, gaussian, monomial

@@ -13,11 +13,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from boxproj import (BoxSplineEvaluator, DirectionSet, autocorrelation_table, gram_symbol_range,
-                     hyperplane_classes, monomial_error_series, multi_indices,
-                     nonorthogonal_directions, preset)
+from boxproj import (BoxSplineEvaluator, DirectionSet, autocorrelation_table, hyperplane_classes,
+                     monomial_error_series, multi_indices, nonorthogonal_directions, preset)
 from boxproj.bernoulli import BernoulliSplineTerm
-from boxproj.checks import _doubled_autocorrelation
+from boxproj.checks import _doubled_autocorrelation, gram_symbol_range
 from boxproj.quadrature import box_cells, sample_grid
 from test_bernoulli import _reference_series
 

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
+from boxproj.checks import finite_difference
 from boxproj.quadrature import tile_points
 from boxproj.testfunctions import (
     Bump,
     Gaussian,
     Monomial,
     bump,
-    finite_difference,
     gaussian,
     monomial,
 )
