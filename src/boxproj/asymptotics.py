@@ -145,6 +145,17 @@ def _ridge_cell_table(V: DirectionSet, order: int):
     return terms, B, wts
 
 
+@lru_cache(maxsize=None)
+def _ridge_gram(V: DirectionSet, order: int) -> np.ndarray:
+    """G_B = B^T diag(w) B, the Gram matrix of the ridge terms of V on the
+    rule of `_ridge_cell_table(V, order)`.  Like the table it is built once
+    per process for every set equal to V and each order, and is read-only."""
+    _, B, wts = _ridge_cell_table(V, order)
+    gram = (B.T * wts) @ B
+    gram.flags.writeable = False
+    return gram
+
+
 def error_constant(f, V, p: float) -> float:
     """Limit constant by direct double quadrature, any finite p >= 1.
 
@@ -159,9 +170,9 @@ def error_constant(f, V, p: float) -> float:
     over class pairs, with G_D = D^T diag(w_t) D and G_B = B^T diag(w_x) B
     the Gram matrices of the class derivatives and of the ridge terms on
     the same nodes.  The cross terms are kept, so this measures the
-    orthogonality that `error_constant_l2` assumes.  G_B is taken on the
-    cell rule of order k + 2 (k = margin + 1), on which it is exact, and
-    G_D is `_derivative_gram`.
+    orthogonality that `error_constant_l2` assumes.  G_B is `_ridge_gram`
+    on the cell rule of order k + 2 (k = margin + 1), on which it is
+    exact, built once per set; G_D is `_derivative_gram`.
     Other p sum |D B^T|^p, which is no polynomial, directly on the rule of
     order INNER_ORDER, CHUNK_ROWS outer nodes at a time; in 3-D one such
     block would take about 30 GB, so p other than 2 above dimension 2
@@ -174,11 +185,11 @@ def error_constant(f, V, p: float) -> float:
         raise UnsupportedDimensionError(
             f"p = {p} sums |D B^T|^p over the 1.8 million nodes of the 3-D cell rule, about "
             f"30 GB per {CHUNK_ROWS} outer nodes; above dimension 2 only p = 2 is supported")
-    terms, B, xwts = _ridge_cell_table(V, V.margin + 3 if p == 2 else INNER_ORDER)
+    order = V.margin + 3 if p == 2 else INNER_ORDER
+    terms, B, xwts = _ridge_cell_table(V, order)
     members = [t.hyperplane.members for t in terms]
     if p == 2:
-        gram_b = (B.T * xwts) @ B
-        return float(np.sum(_derivative_gram(f, members) * gram_b))
+        return float(np.sum(_derivative_gram(f, members) * _ridge_gram(V, order)))
     tpts, twts = _outer_rule(f, OUTER_ORDER)
     D = np.stack([directional_derivative(f, m, tpts) for m in members], axis=-1)
     total = 0.0

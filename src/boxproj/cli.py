@@ -102,6 +102,11 @@ class ExperimentConfig:
             raise ConfigError(f"ladder must be a nonempty list of mesh sizes, got {ladder!r}")
         if exps is not None and not isinstance(exps, seq):
             raise ConfigError(f"exponents must be a list of integers, got {exps!r}")
+        vectors = self.raw.get("vectors")
+        if vectors is not None and not (isinstance(vectors, seq) and all(
+                isinstance(v, seq) and all(isinstance(x, int) and not isinstance(x, bool)
+                                           for x in v) for v in vectors)):
+            raise ConfigError(f"vectors must be a list of integer rows, got {vectors!r}")
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
@@ -146,10 +151,7 @@ class ExperimentConfig:
 
     def direction_set(self) -> DirectionSet:
         if "vectors" in self.raw:
-            vectors = self.raw["vectors"]
-            if not isinstance(vectors, (list, tuple)):
-                raise ConfigError("vectors must be a list of integer rows")
-            return DirectionSet(vectors)
+            return DirectionSet(self.raw["vectors"])
         name = self.raw.get("preset")
         if not name:
             raise ConfigError("config needs 'preset' or 'vectors'")

@@ -31,6 +31,17 @@ class UnsupportedDimensionError(ValueError):
 # multi-indices
 
 
+def _integral(e) -> int:
+    """e as an int, when e is a number equal to an integer; else ValueError."""
+    try:
+        k = int(e)
+    except (TypeError, ValueError, OverflowError):
+        k = None
+    if k is None or k != e:
+        raise ValueError(f"multi-index entries must be finite integers, got {e!r}")
+    return k
+
+
 @dataclass(frozen=True)
 class MultiIndex:
     """Exponent vector for monomials and partial derivatives."""
@@ -38,7 +49,10 @@ class MultiIndex:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        exps = tuple(int(e) for e in self.exponents)
+        """Entries are integers: an integral float (2.0) or a numpy integer
+        is converted, a fractional or non-finite entry raises ValueError
+        rather than being truncated."""
+        exps = tuple(_integral(e) for e in self.exponents)
         if any(e < 0 for e in exps):
             raise ValueError("multi-index entries must be >= 0")
         object.__setattr__(self, "exponents", exps)

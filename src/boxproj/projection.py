@@ -239,19 +239,39 @@ def _factor_tables(factor, h: float, nodes: np.ndarray, lo, shape) -> list[np.nd
     return tables
 
 
+def _lead_product(lead, shape, start: int, stop: int, n: int) -> np.ndarray:
+    """Rows start..stop of the Khatri-Rao product of the factor tables
+    `lead` over their C-order grid `shape`: row i is the product of the
+    tables' rows at the multi-index of i, left to right over the axes (a
+    row of ones when there are no tables)."""
+    K = np.ones((stop - start, n))
+    if lead:
+        for table, i in zip(lead, np.unravel_index(np.arange(start, stop), shape)):
+            K *= table[i]
+    return K
+
+
 def _cell_samples(f, h: float, nodes: np.ndarray, lo, shape):
     """f at the nodes h (m + y_l) of the integer cells lo <= m < lo + shape,
-    in batches of SAMPLE_CHUNK // n whole cells.  Yields (start, values)
-    with values[i, l] = f(h (m_i + nodes[l])), m_i the cell of flat C-order
-    index start + i; the values must be used before the next batch is
-    asked for, since they may share memory with it.
+    in batches of at most SAMPLE_CHUNK // n cells (one at least), in C
+    order.  Yields (start, values) with values[i, l] = f(h (m_i +
+    nodes[l])), m_i the cell of flat C-order index start + i; the values
+    must be used before the next batch is asked for, since they may share
+    memory with it.  A domain with no cell yields nothing.
 
-    Tensor route, for an f with a `factor`: the values are the products of
-    the rows of `_factor_tables` at each cell's indices, left to right
-    over the axes, and f is not called per node.  Point route, for any
-    other f: f receives the batches of `quadrature.box_batches`, (n, d)
-    float views of (d, n) blocks with contiguous columns, and must not
-    assume C order."""
+    Tensor route, for an f with a `factor`: batches follow the rows of
+    cells along the last axis.  The samples of a row are one broadcast
+    product lead[:, None, :] * T_last, with T_last the last axis's
+    `_factor_tables` table and lead the product of the leading axes' table
+    rows at that row (`_lead_product`, left to right, so every sample is
+    the same product in the same order as a per-node one, bit for bit).
+    When a row fits in a batch, a batch is as many whole rows as fit; when
+    it does not (a 3-D cut cell has 6,000 nodes), a batch is a segment of
+    one row, whose lead is formed once for all its segments.  f is not
+    called per node and no table row is gathered per node.  Point route,
+    for any other f: f receives the batches of `quadrature.box_batches`,
+    (n, d) float views of (d, n) blocks with contiguous columns, and must
+    not assume C order."""
     factor = getattr(f, "factor", None)
     if factor is None:
         fv = _value_fn(f)
@@ -262,28 +282,32 @@ def _cell_samples(f, h: float, nodes: np.ndarray, lo, shape):
             yield start, vals
             start += len(vals)
         return
-    tables = _factor_tables(factor, h, nodes, lo, shape)
-    total = int(np.prod(shape))
-    step = max(1, quadrature.SAMPLE_CHUNK // len(nodes))
-    vals, rows = (np.empty((min(step, total), len(nodes))) for _ in range(2))
-    for start in range(0, total, step):
-        k = min(step, total - start)
-        index = np.unravel_index(np.arange(start, start + k), shape)
-        np.take(tables[0], index[0], axis=0, out=vals[:k], mode="clip")
-        for table, i in zip(tables[1:], index[1:]):
-            np.take(table, i, axis=0, out=rows[:k], mode="clip")
-            vals[:k] *= rows[:k]
-        yield start, vals[:k]
+    n, lead_shape, width = len(nodes), tuple(shape[:-1]), int(shape[-1])
+    rows = int(np.prod(lead_shape))
+    if rows * width == 0:
+        return
+    *lead, last = _factor_tables(factor, h, nodes, lo, shape)
+    step = max(1, quadrature.SAMPLE_CHUNK // n)
+    # whole rows per batch, or one row in segments of `seg` cells
+    per, seg = max(1, step // width), min(step, width)
+    buffer = np.empty(min(per * seg, rows * width) * n)
+    for r in range(0, rows, per):
+        k = min(per, rows - r)
+        K = _lead_product(lead, lead_shape, r, r + k, n)[:, None, :]
+        for s in range(0, width, seg):
+            m = min(seg, width - s)
+            vals = buffer[:k * m * n].reshape(k, m, n)
+            np.multiply(K, last[s:s + m], out=vals)
+            yield r * width + s, vals.reshape(-1, n)
 
 
 def _tensor_correlation(tables, stencil: np.ndarray) -> np.ndarray:
     """F[m_0, ..., m_{d-2}, j, m_{d-1}] = sum_l prod_i T_i[m_i, l] S[l, j]
     for the factor tables T_i and the stencil S, as matrix products:
     (K o S[:, j]) @ T_{d-1}^T, K the Khatri-Rao product of the leading
-    tables (row m_0...m_{d-2} is the product of their rows; one row of
-    ones in 1-D).  K is taken in blocks of SAMPLE_CHUNK // (J n) rows, so
-    that a block's K o S, against every j at once, holds about
-    SAMPLE_CHUNK entries."""
+    tables (`_lead_product`).  K is taken in blocks of
+    SAMPLE_CHUNK // (J n) rows, so that a block's K o S, against every j
+    at once, holds about SAMPLE_CHUNK entries."""
     *lead, last = tables
     n, J = stencil.shape
     lead_shape = tuple(len(t) for t in lead)
@@ -292,11 +316,7 @@ def _tensor_correlation(tables, stencil: np.ndarray) -> np.ndarray:
     step = max(1, quadrature.SAMPLE_CHUNK // (J * n))
     for start in range(0, rows, step):
         stop = min(start + step, rows)
-        K = np.ones((stop - start, n))
-        index = np.unravel_index(np.arange(start, stop), lead_shape) if lead else ()
-        for table, i in zip(lead, index):
-            K *= table[i]
-        A = K[:, None, :] * stencil.T
+        A = _lead_product(lead, lead_shape, start, stop, n)[:, None, :] * stencil.T
         np.matmul(A.reshape(-1, n), last.T, out=F[start:stop].reshape(-1, len(last)))
     return F.reshape(lead_shape + (J, len(last)))
 
@@ -543,8 +563,11 @@ def error_norm(f, model: SplineSpaceModel, coeffs: CoefficientField, p: float,
     batch of cells gathers them with one `np.take` of flat indices.  At
     p = 2 the difference is squared without `np.abs` (x*x is |x|*|x| bit
     for bit).  f is sampled by the route `project` takes for it
-    (`_cell_samples`): an f with a `factor` method is the product of its
-    per-axis factor tables, gathered per cell, and is not called per node;
+    (`_cell_samples`), in batches of SAMPLE_CHUNK // n cells (one at
+    least), so that a call's buffers stay small: an f with a `factor`
+    method is the product of its per-axis factor tables, one broadcast
+    product per row of cells along the last axis (whole rows a batch, or
+    segments of a row longer than a batch), and is not called per node;
     any other f is called on each batch of nodes, and must not modify its
     argument nor keep it after it returns.  On the cases listed in
     `project` the two routes' norms at p = 2 and 3 were within 1.2e-13 of
@@ -584,7 +607,7 @@ def error_norm(f, model: SplineSpaceModel, coeffs: CoefficientField, p: float,
     shift = offsets @ strides
     power = 0.0
     for start, fvals in _cell_samples(f, h, nodes, mlo, shape):
-        gathered = np.take(flat, base[start:start + len(fvals), None] + shift)
+        gathered = flat.take(base[start:start + len(fvals), None] + shift)
         diff = gathered @ table
         np.subtract(fvals, diff, out=diff)
         if p == 2:
@@ -592,6 +615,6 @@ def error_norm(f, model: SplineSpaceModel, coeffs: CoefficientField, p: float,
         else:
             np.abs(diff, out=diff)
             diff **= p
-        power += float(np.sum(diff @ weights))
+        power += float((diff @ weights).sum())
     power *= h ** d
     return power ** (1.0 / p), power

@@ -22,6 +22,7 @@ from boxproj.asymptotics import (
     _extrapolate,
     _outer_rule,
     _ridge_cell_table,
+    _ridge_gram,
     sobolev_product_norm,
 )
 from boxproj.bernoulli import BernoulliSplineTerm, bernoulli_interior_roots, bernoulli_l2_norm_sq
@@ -295,6 +296,25 @@ class TestRidgeCellTable:
         for a in (B, wts):
             with pytest.raises(ValueError):
                 a[0] = 0.0
+
+    def test_ridge_gram_is_cached_read_only_and_exact(self):
+        V = preset("courant2")
+        first = _ridge_gram(DirectionSet(V.vectors), V.margin + 3)
+        assert _ridge_gram(DirectionSet(list(V.vectors)), V.margin + 3) is first
+        assert np.array_equal(first, _gram_b(V))
+        with pytest.raises(ValueError):
+            first[0, 0] = 0.0
+
+    def test_error_constant_forms_the_ridge_gram_once(self):
+        _ridge_gram.cache_clear()
+        V, g = preset("courant"), gaussian(2, 1.0)
+        first = error_constant(g, V, 2.0)
+        assert error_constant(gaussian(2, 0.8), V, 2.0) != first
+        assert error_constant(g, V, 2.0) == first
+        info = _ridge_gram.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        error_constant_l2(g, V)
+        assert _ridge_gram.cache_info().misses == 1
 
 
 BAD_EXPONENTS = [0.0, 0.5, -1.0, np.inf, np.nan]

@@ -70,6 +70,14 @@ class TestAnalyze:
         assert "margin = 1" in out
         assert "unimodular = true" in out
 
+    @pytest.mark.parametrize("line", ["vectors = [1, 2]", "vectors = [[1, 0], 2]",
+                                      "vectors = [[1, 0], [0.5, 1]]", "vectors = 3"])
+    def test_vectors_not_integer_rows_exit_2(self, tmp_path, capsys, line):
+        # a flat list used to reach DirectionSet and end in a TypeError, exit 1
+        path = write_cfg(tmp_path, line + "\n")
+        assert main(["analyze", "--config", path]) == 2
+        assert "error: vectors must be a list of integer rows" in capsys.readouterr().err
+
     def test_degenerate_preset_rejected(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "preset = zp\n")
         rc = main(["analyze", "--config", path])
@@ -213,6 +221,15 @@ class TestProject:
         captured = capsys.readouterr()
         assert f"error: {message}" in captured.err
         assert "error_norm" not in captured.out and "rel_err" not in captured.out
+
+    def test_fractional_exponents_exit_2(self, tmp_path, capsys):
+        # the exponents used to be truncated, projecting x*y for [1.5, 1]
+        path = write_cfg(tmp_path, "preset = courant\nfunction = monomial\nexponents = [1.5, 1]\n"
+                                   "box = [[0, 0], [1, 1]]\n")
+        assert main(["project", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert "error: multi-index entries must be finite integers, got 1.5" in captured.err
+        assert "error_norm" not in captured.out
 
     def test_integer_keys_accepted(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "preset = bspline(2)\nfunction = gaussian\nh = 1/2\n"

@@ -60,6 +60,18 @@ class TestMultiIndex:
         with pytest.raises(ValueError):
             MultiIndex.of((1, -1))
 
+    @pytest.mark.parametrize("beta", [(1.5, 1), (1, 0.5), (float("nan"),), (float("inf"), 0),
+                                      (Fraction(3, 2),), ("2",)])
+    def test_of_rejects_non_integral_entries(self, beta):
+        # int() used to truncate (1.5, 1) to (1, 1) without a word
+        with pytest.raises(ValueError, match="finite integers"):
+            MultiIndex.of(beta)
+
+    def test_integral_floats_and_numpy_integers_accepted(self):
+        b = MultiIndex.of((2.0, np.int64(1), np.float64(0.0), Fraction(4, 2)))
+        assert b.exponents == (2, 1, 0, 2)
+        assert all(type(e) is int for e in b)
+
     def test_enumeration_is_complete(self):
         found = list(multi_indices(3, 4))
         assert len(found) == math.comb(4 + 2, 2)

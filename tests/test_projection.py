@@ -726,6 +726,89 @@ class TestSamplingRoute:
                 == error_norm(g.value, m, want, 2.0, domain=box))
 
 
+def _per_node_samples(f, h, nodes, lo, shape):
+    """Reference tensor-route samples: for each cell in C order, the rows of
+    `_factor_tables` at its indices, multiplied left to right over the axes,
+    one node at a time."""
+    tables = projection._factor_tables(f.factor, h, nodes, lo, shape)
+    cells = np.stack(np.unravel_index(np.arange(int(np.prod(shape))), shape), axis=1)
+    out = tables[0][cells[:, 0]]
+    for j in range(1, len(shape)):
+        out = out * tables[j][cells[:, j]]
+    return out
+
+
+class TestRowBatches:
+    """The tensor route of `_cell_samples` takes a row of cells along the
+    last axis as one broadcast product: a batch is whole rows, or a segment
+    of one row when a row is longer than the batch."""
+
+    # (lo, shape, cells per batch): None keeps SAMPLE_CHUNK
+    CASES = [
+        ((-3,), (7,), None),          # one whole row
+        ((-3,), (7,), 7),             # the batch is exactly one row
+        ((-3,), (7,), 3),             # segments 3, 3, 1
+        ((-1, 2), (4, 5), None),      # every row in one batch
+        ((-1, 2), (4, 5), 10),        # two whole rows a batch
+        ((-1, 2), (4, 5), 13),        # two whole rows, the batch not full
+        ((-1, 2), (4, 5), 5),         # one row a batch, each ending a row
+        ((-1, 2), (4, 5), 3),         # segments 3, 2: every second ends a row
+        ((0, -2, 1), (2, 3, 4), None),
+        ((0, -2, 1), (2, 3, 4), 2),   # segments 2, 2, ending a row
+        ((0, -2, 1), (2, 3, 4), 3),   # segments 3, 1
+        ((0, -2, 1), (2, 3, 4), 1),
+    ]
+
+    @pytest.mark.parametrize("lo, shape, cells", CASES)
+    def test_bitwise_equal_to_per_node_products(self, monkeypatch, lo, shape, cells):
+        d = len(shape)
+        nodes, _ = quadrature.tensor_rule([0.0] * d, [1.0] * d, 3)
+        n, width = len(nodes), shape[-1]
+        if cells is not None:
+            monkeypatch.setattr(quadrature, "SAMPLE_CHUNK", cells * n)
+        step = max(1, quadrature.SAMPLE_CHUNK // n)
+        for f in (gaussian(d, 0.7), bump(d, 2.5), monomial((2,) * d)):
+            want = _per_node_samples(f, 0.5, nodes, lo, shape)
+            end = 0
+            for start, vals in projection._cell_samples(f, 0.5, nodes, lo, shape):
+                k = len(vals)
+                assert start == end and 0 < k <= step
+                # whole rows, or a segment within one row
+                assert (start % width == 0 and k % width == 0) or \
+                    start // width == (start + k - 1) // width
+                assert np.array_equal(vals, want[start:start + k])
+                end = start + k
+            assert end == int(np.prod(shape))
+
+    @pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 4), (2, 0, 3)])
+    def test_no_cell_yields_nothing(self, shape):
+        d = len(shape)
+        nodes, _ = quadrature.tensor_rule([0.0] * d, [1.0] * d, 2)
+        assert list(projection._cell_samples(gaussian(d, 1.0), 0.5, nodes, (0,) * d,
+                                             shape)) == []
+
+    # error powers at h, p of gaussian(d, 1) over its effective box, taken
+    # with 65,536-node batches and a per-node gather of the factor rows; the
+    # row batches change only the order in which batch sums are added
+    POWERS = [
+        ("courant", 0.25, 2.0, 0.0003183423334519785),
+        ("courant", 0.25, 3.0, 5.818215390354455e-06),
+        ("tensor(2,2)", 0.25, 2.0, 0.00020251788577695784),
+        ("tensor(2,2)", 0.25, 3.0, 3.5498151431996066e-06),
+        ("3d", 0.5, 2.0, 0.011607073175473027),
+        ("3d", 0.5, 3.0, 0.0009778571015646733),
+        ("3d", 0.25, 2.0, 0.0004688851773819698),
+    ]
+
+    @pytest.mark.parametrize("name, h, p, want", POWERS)
+    def test_error_powers_unchanged(self, name, h, p, want):
+        V = THREE_D if name == "3d" else preset(name)
+        g = gaussian(V.dimension, 1.0)
+        m = build_model(V, h, g)
+        _, got = error_norm(g, m, project(m, g), p)
+        assert abs(got - want) <= 1e-14 * want
+
+
 def _reference_matrix(m):
     """The Gram matrix by COO assembly: for each offset gamma, the rows alpha
     of the window whose column alpha - gamma stays inside it."""
