@@ -64,17 +64,23 @@ def _outer_rule(f, order: int):
     return quadrature.tile_rule(base_pts, base_wts, quadrature.box_cells(lo, hi))
 
 
+def _class_derivatives(f, vector_lists):
+    """(D, w): D[t, U] = prod_{v in U} (v . grad) f by `directional_derivative` at
+    node t of `_outer_rule` at OUTER_ORDER, and w the rule's weights."""
+    pts, wts = _outer_rule(f, OUTER_ORDER)
+    return np.stack([directional_derivative(f, vs, pts) for vs in vector_lists], axis=-1), wts
+
+
 def _derivative_gram(f, vector_lists) -> np.ndarray:
     """G_D[U, V] = sum_t w_t D_U f(t) D_V f(t) over `_outer_rule` at
     OUTER_ORDER, D_U = prod_{v in U} (v . grad), one row and column per
     vector list U.
 
-    An f without `factor_derivative` is differentiated by
-    `directional_derivative` at every outer node.  Any other f (Gaussian,
-    bump) is never sampled on the outer grid.  The outer rule is the
-    product of per-axis rules (the nodes i + x_l of the cells along axis j,
-    weights w_l) and D^beta f is the product of the factor derivatives
-    phi_j^(beta_j), so
+    An f without `factor_derivative` takes G_D = D^T diag(w) D from the
+    pointwise `_class_derivatives`.  Any other f (Gaussian, bump) is never
+    sampled on the outer grid.  The outer rule is the product of per-axis
+    rules (the nodes i + x_l of the cells along axis j, weights w_l) and
+    D^beta f is the product of the factor derivatives phi_j^(beta_j), so
     G_D[U, V] = sum_{beta, beta'} C_U[beta] C_V[beta'] prod_j M_j[beta_j, beta'_j],
     with the moment matrices M_j = T_j diag(w) T_j^T, T_j[b] = phi_j^(b)
     at the axis-j nodes, and C_U the coefficients of prod_{v in U} (x . v).
@@ -87,8 +93,7 @@ def _derivative_gram(f, vector_lists) -> np.ndarray:
     two agree up to rounding.
     """
     if not hasattr(f, "factor_derivative"):
-        pts, wts = _outer_rule(f, OUTER_ORDER)
-        D = np.stack([directional_derivative(f, vs, pts) for vs in vector_lists], axis=-1)
+        D, wts = _class_derivatives(f, vector_lists)
         return (D.T * wts) @ D
     lo, hi = _outer_cells(f)
     order = max(len(vs) for vs in vector_lists)
@@ -110,13 +115,14 @@ def sobolev_product_norm(f, vectors, p: float = 2.0) -> float:
     the outer rule.
 
     At p = 2 this is the one entry of `_derivative_gram`; any other p sums
-    `directional_derivative` over the nodes of the outer rule.
+    w |D|^p over `_class_derivatives`.  p below 1 or not finite raises
+    ValueError.
     """
+    _check_exponent(p)
     if p == 2:
         return float(_derivative_gram(f, [vectors])[0, 0])
-    pts, wts = _outer_rule(f, OUTER_ORDER)
-    vals = directional_derivative(f, vectors, pts)
-    return float(np.dot(wts, np.abs(vals) ** p))
+    D, wts = _class_derivatives(f, [vectors])
+    return float(np.dot(wts, np.abs(D[:, 0]) ** p))
 
 
 @lru_cache(maxsize=None)
@@ -173,11 +179,11 @@ def error_constant(f, V, p: float) -> float:
     orthogonality that `error_constant_l2` assumes.  G_B is `_ridge_gram`
     on the cell rule of order k + 2 (k = margin + 1), on which it is
     exact, built once per set; G_D is `_derivative_gram`.
-    Other p sum |D B^T|^p, which is no polynomial, directly on the rule of
-    order INNER_ORDER, CHUNK_ROWS outer nodes at a time; in 3-D one such
-    block would take about 30 GB, so p other than 2 above dimension 2
-    raises `UnsupportedDimensionError` at entry.  p below 1 or not finite
-    raises ValueError.
+    Other p sum |D B^T|^p, which is no polynomial, directly: D from
+    `_class_derivatives`, B on the rule of order INNER_ORDER, CHUNK_ROWS
+    outer nodes at a time; in 3-D one such block would take about 30 GB, so
+    p other than 2 above dimension 2 raises `UnsupportedDimensionError` at
+    entry.  p below 1 or not finite raises ValueError.
     """
     _check_exponent(p)
     V = _coerce(V)
@@ -185,15 +191,13 @@ def error_constant(f, V, p: float) -> float:
         raise UnsupportedDimensionError(
             f"p = {p} sums |D B^T|^p over the 1.8 million nodes of the 3-D cell rule, about "
             f"30 GB per {CHUNK_ROWS} outer nodes; above dimension 2 only p = 2 is supported")
-    order = V.margin + 3 if p == 2 else INNER_ORDER
-    terms, B, xwts = _ridge_cell_table(V, order)
-    members = [t.hyperplane.members for t in terms]
+    members = [cls.members for cls in V.classes]
     if p == 2:
-        return float(np.sum(_derivative_gram(f, members) * _ridge_gram(V, order)))
-    tpts, twts = _outer_rule(f, OUTER_ORDER)
-    D = np.stack([directional_derivative(f, m, tpts) for m in members], axis=-1)
+        return float(np.sum(_derivative_gram(f, members) * _ridge_gram(V, V.margin + 3)))
+    _, B, xwts = _ridge_cell_table(V, INNER_ORDER)
+    D, twts = _class_derivatives(f, members)
     total = 0.0
-    for start in range(0, len(tpts), CHUNK_ROWS):
+    for start in range(0, len(twts), CHUNK_ROWS):
         S = D[start:start + CHUNK_ROWS] @ B.T
         total += np.dot(twts[start:start + CHUNK_ROWS], np.abs(S) ** p @ xwts)
     return float(total)
@@ -208,14 +212,10 @@ def error_constant_l2(f, V) -> float:
     of one `_derivative_gram` over all classes.
     """
     V = _coerce(V)
-    deg = V.margin + 1
-    period_norm = float(bernoulli_l2_norm_sq(deg))
+    period_norm = float(bernoulli_l2_norm_sq(V.margin + 1))
     norms = np.diag(_derivative_gram(f, [cls.members for cls in V.classes]))
-    total = 0.0
-    for cls, norm in zip(V.classes, norms):
-        weight = period_norm * float(cls.scale) ** 2
-        total += weight * float(norm)
-    return float(total)
+    return float(sum(period_norm * float(cls.scale) ** 2 * float(norm)
+                     for cls, norm in zip(V.classes, norms)))
 
 
 def _extrapolate(ladder, ratios) -> float:
@@ -241,10 +241,11 @@ def norm_equivalence_constants(V, p: float, samples: int = 4000) -> tuple[float,
     c1 = c2 = 1; for other p this gives the loose sandwich used to
     validate the generic constant.  Dimensions above 2 raise
     `UnsupportedDimensionError` at entry: every sample would be evaluated at
-    the 1.8 million nodes of the 3-D cell rule.  p below 1 or not finite
-    raises ValueError.
+    the 1.8 million nodes of the 3-D cell rule.  p below 1 or not finite,
+    or a sample count that is not a positive integer, raises ValueError.
     """
     _check_exponent(p)
+    quadrature._check_integer("samples", samples, 1)
     V = _coerce(V)
     if V.dimension > 2:
         raise UnsupportedDimensionError(
@@ -286,8 +287,12 @@ def convergence_sweep(f, V, p: float, ladder, padding: int | None = None,
     few rungs; the ratio sequence norms^p / h^(p k) is extrapolated to
     h = 0 by an exact fit of C + c2 h^2 (+ c4 h^4) on the last two (three)
     rungs.  A ladder with fewer than two mesh sizes, or one that repeats a
-    mesh size, raises ValueError.
+    mesh size, a norm_order that is not a positive integer, or a constant
+    that is zero or not finite, raises ValueError.
     """
+    quadrature._check_integer("norm_order", norm_order, 1)
+    if constant is not None and not (np.isfinite(constant) and constant != 0):
+        raise ValueError(f"constant must be finite and nonzero, got {constant}")
     V = _coerce(V)
     ladder = tuple(sorted((float(h) for h in ladder), reverse=True))
     if len(ladder) < 2 or len(set(ladder)) < len(ladder):

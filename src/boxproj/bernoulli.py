@@ -87,8 +87,7 @@ def bernoulli_interior_roots(k: int) -> tuple[float, ...]:
 
 
 def _check_radius(radius) -> None:
-    if isinstance(radius, bool) or not isinstance(radius, (int, np.integer)) or radius < 1:
-        raise ValueError(f"series radius must be a positive integer, got {radius!r}")
+    quadrature._check_integer("series radius", radius, 1)
 
 
 def progression_sum(t, ahead, behind):

@@ -139,14 +139,10 @@ class ExperimentConfig:
         raise ConfigError(f"key {key!r} must be a number")
 
     def integer(self, key, default=None, minimum: int = 1) -> int | None:
-        """An integer key at or above minimum (1 or 0); a float, fraction
-        or bool is rejected, not truncated."""
+        """An integer key at or above minimum, by `quadrature._check_integer`."""
         val = self.raw.get(key, default)
-        if val is None:
-            return None
-        if isinstance(val, bool) or not isinstance(val, int) or val < minimum:
-            kind = "positive" if minimum == 1 else "nonnegative"
-            raise ConfigError(f"{key} must be a {kind} integer, got {val!r}")
+        if val is not None:
+            quadrature._check_integer(key, val, minimum)
         return val
 
     def direction_set(self) -> DirectionSet:

@@ -12,7 +12,7 @@ once in lattice coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -140,22 +140,14 @@ class SplineSpaceModel:
         """The normal-equation matrix: entry (alpha, beta) of the window,
         in C order, is gram[alpha - beta].
 
-        Offset gamma fills the diagonal at flat offset -gamma . strides.
-        DIA storage indexes a diagonal by column beta, so only the columns
-        whose row beta + gamma stays in the window are set; the zeros left
-        are dropped by the CSR conversion.  Offsets that coincide on a
-        small window set disjoint columns of one shared diagonal.
+        The sum over the offsets gamma of gram[gamma] times the Kronecker
+        product over the axes j of E(gamma_j), the k_j x k_j matrix with ones
+        where alpha_j - beta_j = gamma_j; CSR sums keep the indices sorted.
         """
-        dims = np.array(self.window_shape)
-        n = self.unknowns
-        strides = np.array([int(np.prod(dims[j + 1:])) for j in range(len(dims))])
-        offsets, diag = np.unique(-np.array(list(self.gram)) @ strides, return_inverse=True)
-        data = np.zeros((len(offsets), n))
-        for i, (gamma, a) in enumerate(self.gram.items()):
-            data[diag[i]].reshape(self.window_shape)[tuple(
-                slice(max(0, -g), max(0, k - g)) for g, k in zip(gamma, dims))] = a
-        A = sp.dia_matrix((data, offsets), shape=(n, n)).tocsr()
-        A.sort_indices()
+        A = sp.csr_matrix((self.unknowns, self.unknowns))
+        for gamma, a in self.gram.items():
+            A += a * reduce(sp.kron, [sp.eye(k, k=-g, format="csr")
+                                      for g, k in zip(gamma, self.window_shape)])
         return A
 
 
@@ -191,15 +183,16 @@ def build_model(V, h: float, f=None, padding: int | None = None, box=None) -> Sp
     and Gram table are those of `_cell_tables`, built by the first model of
     an equal set in the process and shared by every later one at any h:
     a later build evaluates no spline.  The model gets its own copy of the
-    Gram table.  A mesh size that is not finite and positive, a negative
-    padding, or a box whose dimension is not that of V, that is reversed
-    on some axis or has a corner that is not finite, raises ValueError.
+    Gram table.  A mesh size that is not finite and positive, a padding
+    that is not a nonnegative integer, or a box whose dimension is not
+    that of V, that is reversed on some axis or has a corner that is not
+    finite, raises ValueError.
     """
     h = float(h)
     if not (np.isfinite(h) and h > 0.0):
         raise ValueError(f"mesh size h must be finite and positive, got {h}")
-    if padding is not None and padding < 0:
-        raise ValueError(f"padding must be nonnegative, got {padding}")
+    if padding is not None:
+        quadrature._check_integer("padding", padding, 0)
     V = _coerce(V)
     spline, table, gram = _cell_tables(V, RULE_ORDER)
     if box is None:
@@ -554,9 +547,9 @@ def error_norm(f, model: SplineSpaceModel, coeffs: CoefficientField, p: float,
     with one cut-aware cell rule, split along the knot lines of the shifted
     splines so the piecewise-smooth integrand is handled cleanly.  The
     projection at the nodes of mesh cell m is the coefficients
-    c_{m + delta} gathered against `cell_spline_table`: the model's own
-    table when `order` is RULE_ORDER, else V's table at `order`, built once
-    per process (`_cell_tables`; at p != 2 the integrand is not piecewise
+    c_{m + delta} gathered against V's `cell_spline_table` at `order`,
+    built once per process (`_cell_tables`, whose RULE_ORDER entry is the
+    model's own table; at p != 2 the integrand is not piecewise
     polynomial, so a higher order shrinks the rule's error); the box
     spline is never evaluated per node.  The coefficients are laid into
     one zero array over every cell m + delta the domain reaches, so that a
@@ -572,11 +565,13 @@ def error_norm(f, model: SplineSpaceModel, coeffs: CoefficientField, p: float,
     argument nor keep it after it returns.  On the cases listed in
     `project` the two routes' norms at p = 2 and 3 were within 1.2e-13 of
     each other, relative: the error is small against f, so the rounding
-    of f weighs more in it.  An exponent p below 1 or not finite, or a
-    domain whose dimension is not the model's, that is reversed on some
-    axis or has a corner that is not finite, raises ValueError.
+    of f weighs more in it.  An exponent p below 1 or not finite, an
+    order that is not a positive integer, or a domain whose dimension is
+    not the model's, that is reversed on some axis or has a corner that is
+    not finite, raises ValueError.
     """
     _check_exponent(p)
+    quadrature._check_integer("order", order, 1)
     h, d = model.h, model.V.dimension
     if domain is None:
         box = f.effective_box()
@@ -586,10 +581,7 @@ def error_norm(f, model: SplineSpaceModel, coeffs: CoefficientField, p: float,
     dlo, dhi = _box_corners(domain, d, "domain")
     mlo = np.floor(dlo / h).astype(int)
     shape = np.ceil(dhi / h).astype(int) - mlo
-    if order == RULE_ORDER:
-        nodes, weights, offsets, table = model.cell_table
-    else:
-        nodes, weights, offsets, table = _cell_tables(model.V, order)[1]
+    nodes, weights, offsets, table = _cell_tables(model.V, order)[1]
     # the coefficients on every cell m + delta the domain reaches, zero off
     # the window, in one C-order array: domain cell i reads offset j at
     # flat[base[i] + shift[j]]

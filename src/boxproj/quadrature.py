@@ -29,6 +29,13 @@ _CUT_TOL = 1e-9
 SAMPLE_CHUNK = 16_384
 
 
+def _check_integer(name: str, value, minimum: int) -> None:
+    """Raise ValueError unless value is an int, not a bool, at or above minimum (1 or 0)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        kind = "positive" if minimum == 1 else "nonnegative"
+        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CutFamily:
     """Parallel lines normal.x = offset + spacing*k, one per integer k."""

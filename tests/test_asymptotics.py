@@ -9,12 +9,15 @@ import pytest
 from boxproj import (
     DirectionSet,
     UnsupportedDimensionError,
+    build_model,
     convergence_sweep,
     directional_derivative,
     error_constant,
     error_constant_l2,
+    error_norm,
     norm_equivalence_constants,
     preset,
+    project,
 )
 from boxproj import quadrature
 from boxproj.asymptotics import (
@@ -330,6 +333,100 @@ class TestExponentValidation:
     def test_norm_equivalence_constants_rejects(self, p):
         with pytest.raises(ValueError, match="exponent"):
             norm_equivalence_constants(preset("courant"), p, samples=10)
+
+    @pytest.mark.parametrize("p", BAD_EXPONENTS)
+    def test_sobolev_product_norm_rejects(self, p):
+        # p = 0.5 returned 3.99 and p = nan returned nan
+        with pytest.raises(ValueError, match="exponent"):
+            sobolev_product_norm(gaussian(2, 1.0), [(1, 0), (0, 1)], p)
+
+
+def _error_norm_at_order(order):
+    g = gaussian(1, 1.0)
+    m = build_model(preset("bspline(2)"), 0.5, g)
+    return error_norm(g, m, project(m, g), 2.0, order=order)
+
+
+def _sweep(**kwargs):
+    return convergence_sweep(gaussian(1, 1.0), preset("haar"), 2.0, [1 / 2, 1 / 4], **kwargs)
+
+
+class TestParameterValidation:
+    """Integer parameters and the constant of a sweep are checked at entry:
+    order 2.5 leaked numpy's TypeError, order True and padding 1.5 or True
+    ran, constant 0 raised ZeroDivisionError and samples 0 failed inside
+    numpy."""
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda: _error_norm_at_order(2.5), "order"),
+        (lambda: _error_norm_at_order(True), "order"),
+        (lambda: _error_norm_at_order(0), "order"),
+        (lambda: build_model(preset("bspline(2)"), 0.5, gaussian(1, 1.0), padding=1.5),
+         "padding"),
+        (lambda: build_model(preset("bspline(2)"), 0.5, gaussian(1, 1.0), padding=True),
+         "padding"),
+        (lambda: _sweep(norm_order=2.5), "norm_order"),
+        (lambda: _sweep(norm_order=True), "norm_order"),
+        (lambda: _sweep(norm_order=0), "norm_order"),
+        (lambda: _sweep(padding=1.5), "padding"),
+        (lambda: _sweep(constant=0.0), "constant"),
+        (lambda: _sweep(constant=np.nan), "constant"),
+        (lambda: _sweep(constant=np.inf), "constant"),
+        (lambda: norm_equivalence_constants(preset("courant"), 2.0, samples=0), "samples"),
+        (lambda: norm_equivalence_constants(preset("courant"), 2.0, samples=2.5), "samples"),
+        (lambda: norm_equivalence_constants(preset("courant"), 2.0, samples=True), "samples"),
+    ], ids=["order=2.5", "order=True", "order=0", "padding=1.5", "padding=True",
+            "norm_order=2.5", "norm_order=True", "norm_order=0", "sweep-padding=1.5",
+            "constant=0", "constant=nan", "constant=inf", "samples=0", "samples=2.5",
+            "samples=True"])
+    def test_rejected_at_entry(self, call, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            call()
+
+
+class TestPinnedConstants:
+    """The limit constants and Sobolev norms of the p = 2 and p = 3 routes,
+    pinned at 1e-14 relative so that the pin holds across BLAS builds."""
+
+    # error_constant at p = 2 and 3, error_constant_l2, and
+    # sobolev_product_norm of the first class at p = 2 and 3
+    VALUES = [
+        ("courant", gaussian, 1.13, 0.04830842470578185, 0.009661544790655698,
+         0.04830842470578181, 15.45869590585032, 44.317337040454554),
+        ("courant", bump, 2.5, 0.04111152873561898, 0.004115105992450354,
+         0.04111152873561894, 14.067460861642672, 26.8282987682747),
+        ("courant2", gaussian, 1.13, 0.008064790887675529, 0.0007363442350269907,
+         0.00806479088767554, 4772.313898747025, 259271.02959011175),
+        ("courant2", bump, 2.5, 0.11071402993604387, 0.026364534054580942,
+         0.11071402993604401, 66946.70725046525, 14457502.798527025),
+    ]
+    # error_constant at p = 2 and error_constant_l2 on [e1, e2, e3, e1+e2+e3]
+    VALUES_3D = [
+        (gaussian, 1.13, 0.07719982521724814, 0.07719982521724819),
+        (bump, 2.5, 0.1741221165612648, 0.17412211656126492),
+    ]
+
+    @staticmethod
+    def _close(got, want):
+        assert abs(got - want) <= 1e-14 * abs(want), (got, want)
+
+    @pytest.mark.parametrize("name, family, size, c2, c3, l2, s2, s3", VALUES,
+                             ids=[f"{v[0]}-{v[1].__name__}" for v in VALUES])
+    def test_two_dimensions(self, name, family, size, c2, c3, l2, s2, s3):
+        V, f = preset(name), family(2, size)
+        members = V.classes[0].members
+        self._close(error_constant(f, V, 2.0), c2)
+        self._close(error_constant(f, V, 3.0), c3)
+        self._close(error_constant_l2(f, V), l2)
+        self._close(sobolev_product_norm(f, members, 2.0), s2)
+        self._close(sobolev_product_norm(f, members, 3.0), s3)
+
+    @pytest.mark.parametrize("family, size, c2, l2", VALUES_3D,
+                             ids=[v[0].__name__ for v in VALUES_3D])
+    def test_three_dimensions(self, family, size, c2, l2):
+        f = family(3, size)
+        self._close(error_constant(f, SET_3D, 2.0), c2)
+        self._close(error_constant_l2(f, SET_3D), l2)
 
 
 class TestNormEquivalence:

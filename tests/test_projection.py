@@ -865,7 +865,10 @@ class TestMatrix:
 
     def test_coinciding_flat_offsets(self):
         # on a window barely wider than the support, offsets (0, 3) and
-        # (1, -2) share one flat offset; their entries must both appear
+        # (1, -2) share one flat offset; their entries must both appear.
+        # `matrix()` is a Kronecker sum with no flat offset, so the case
+        # now guards the stencil, which shifts by flat offsets on its
+        # padded window
         m = build_model(preset("courant2"), 1.0, box=(np.zeros(2), np.zeros(2)), padding=0)
         strides = (m.window_shape[1], 1)
         flat = [np.dot(g, strides) for g in m.gram]
@@ -877,7 +880,8 @@ class TestMatrix:
 class TestNormalOperators:
     """`project` solves with the Gram stencil and the inverse-symbol
     preconditioner of `_normal_operators`, never with `matrix()`; the
-    stencil is checked against `matrix()` in `TestMatrix`."""
+    stencil is checked against `matrix()`, the Kronecker sum of the Gram
+    table that serves as its reference, in `TestMatrix`."""
 
     @pytest.mark.parametrize("name", ["bspline(3)", "tensor(2,2)", "courant2", "3d"])
     def test_preconditioner_inverts_away_from_edges(self, name):
