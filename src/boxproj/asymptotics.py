@@ -15,8 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import (DirectionSet, UnsupportedDimensionError, _coerce, linear_form_product,
-                      multi_indices, product_derivative)
+from .lattice import (DirectionSet, UnsupportedDimensionError, _as_int_vectors, _coerce,
+                      linear_form_product, multi_indices, product_derivative)
 from .bernoulli import INNER_ORDER, BernoulliSplineTerm, bernoulli_l2_norm_sq, ridge_cut
 from .projection import RULE_ORDER, _check_exponent, build_model, error_norm, project
 from . import quadrature
@@ -32,10 +32,10 @@ def directional_derivative(f, vectors, t):
     Sums product_derivative(beta, vectors)/beta! times D^beta f over
     |beta| = len(vectors), the multinomial expansion of the product.
     """
-    vecs = [tuple(int(x) for x in v) for v in vectors]
     t = np.asarray(t, dtype=float)
     single = t.ndim == 1
     pts = np.atleast_2d(t)
+    vecs = _as_int_vectors(vectors, pts.shape[1])
     out = np.zeros(len(pts))
     for beta in multi_indices(len(vecs[0]), len(vecs)):
         coef = product_derivative(beta, vecs)
@@ -116,9 +116,11 @@ def sobolev_product_norm(f, vectors, p: float = 2.0) -> float:
 
     At p = 2 this is the one entry of `_derivative_gram`; any other p sums
     w |D|^p over `_class_derivatives`.  p below 1 or not finite raises
-    ValueError.
+    ValueError, and so do an empty vector list and a vector that is not
+    integral or not of f's dimension.
     """
     _check_exponent(p)
+    vectors = _as_int_vectors(vectors, len(_outer_cells(f)[0]))
     if p == 2:
         return float(_derivative_gram(f, [vectors])[0, 0])
     D, wts = _class_derivatives(f, [vectors])

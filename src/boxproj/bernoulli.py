@@ -232,7 +232,7 @@ def monomial_error_series(V, beta, x, radius: int):
         raise ValueError("the lattice series applies up to the critical order only")
     alphas = [np.array(cls.alpha) for cls in V.classes]
     counts = [radius // int(np.abs(a).max()) for a in alphas]
-    freqs = np.concatenate([sign * np.arange(1, K + 1)[:, None] * a
+    freqs = np.concatenate([np.multiply.outer(np.arange(sign, sign * (K + 1), sign), a)
                             for a, K in zip(alphas, counts) for sign in (1, -1)])
     weights = np.split(transform_derivatives(V, beta, freqs),
                        np.cumsum(np.repeat(counts, 2))[:-1])

@@ -15,7 +15,6 @@ from functools import lru_cache
 import numpy as np
 
 from .lattice import (
-    DirectionSet,
     MultiIndex,
     _coerce,
     integer_rank,
@@ -113,61 +112,57 @@ def transform_derivatives(V, beta, freqs) -> np.ndarray:
 
     At an integer frequency every factor of a direction orthogonal to it
     is entire and nonzero, and every other factor has a simple zero, so
-    rows are grouped by their set of non-orthogonal directions.  A group
-    with more active directions than |beta| is a structural zero; one with
-    exactly |beta| takes the closed form product_derivative(beta, active) /
-    prod(freq . v) over the active v (each active factor takes exactly one
-    derivative, every other assignment keeps a zero), for all its rows at
-    once; only rows with fewer active directions than |beta| run the
-    Leibniz expansion, one by one.
+    rows are grouped by their set of non-orthogonal directions, the uint16
+    code sum_i (freq . v_i != 0) << i (a set has at most 16 directions),
+    with no sort.  A group with more active directions than |beta| is a
+    structural zero; one with exactly |beta| takes the real closed form
+    c / prod(freq . v) over the active v, c = product_derivative(beta,
+    active), for all its rows at once, as c times 1.0 / (freq . v) for each
+    v in order: bit for bit the complex division, which numpy does by a
+    real divisor d as a product with 1 / d.  Only rows with fewer active
+    directions than |beta| run the Leibniz expansion, one by one.
     """
     V = _coerce(V)
     beta = MultiIndex.of(beta)
-    _check_derivative_order(V, beta)
-    raw = np.asarray(freqs)
-    if raw.ndim != 2 or raw.shape[1] != V.dimension:
-        raise ValueError("frequencies must form an (m, d) array, d the dimension")
-    freqs = raw.astype(np.int64)
-    if np.any(freqs != raw):
-        raise ValueError("frequencies must be integral")
-    dots = freqs @ np.array(V.vectors, dtype=np.int64).T
-    active = dots != 0
-    if not np.all(active.any(axis=1)):
-        raise ValueError("frequencies must be nonzero")
-    codes = active @ (np.int64(1) << np.arange(len(V), dtype=np.int64))
-    _, first, group = np.unique(codes, return_index=True, return_inverse=True)
-    out = np.zeros(len(freqs), dtype=complex)
-    for p, row in enumerate(first):
-        idx = np.flatnonzero(active[row])
-        if beta.order < len(idx):
-            continue
-        rows = np.flatnonzero(group == p)
-        if beta.order == len(idx):
-            val = np.full(len(rows), complex(product_derivative(beta, [V[i] for i in idx])))
-            for i in idx:
-                val /= dots[rows, i]
-            out[rows] = val
-        else:
-            out[rows] = [_leibniz_derivative(V, beta, dots[r]) for r in rows]
-    return out
-
-
-def _check_derivative_order(V: DirectionSet, beta: MultiIndex) -> None:
     if len(beta) != V.dimension:
         raise ValueError("multi-index dimension mismatch")
     if beta.order > MAX_DERIVATIVE_ORDER:
         raise ValueError("derivative order too large")
+    raw = np.asarray(freqs)
+    if raw.ndim != 2 or raw.shape[1] != V.dimension:
+        raise ValueError("frequencies must form an (m, d) array, d the dimension")
+    freqs = raw.astype(np.int64, copy=False)
+    if np.any(freqs != raw):
+        raise ValueError("frequencies must be integral")
+    dots = np.zeros((len(V), len(freqs)), dtype=np.int64)
+    codes = np.zeros(len(freqs), dtype=np.uint16)
+    for i, (v, dot) in enumerate(zip(V, dots)):
+        for j, vj in enumerate(v):
+            if vj:
+                dot += freqs[:, j] * vj
+        codes |= np.left_shift(dot != 0, i, dtype=np.uint16)
+    if not codes.all():
+        raise ValueError("frequencies must be nonzero")
+    out = np.zeros(len(freqs), dtype=complex)
+    for code in np.flatnonzero(np.bincount(codes)):
+        idx = [i for i in range(len(V)) if code >> i & 1]
+        if beta.order < len(idx):
+            continue
+        rows = np.flatnonzero(codes == code)
+        if beta.order == len(idx):
+            val = np.full(len(rows), float(product_derivative(beta, [V[i] for i in idx])))
+            for i in idx:
+                val *= 1.0 / dots[i, rows]
+            out.real[rows] = val
+        else:
+            out[rows] = [_leibniz_derivative(V, beta, dots[:, r]) for r in rows]
+    return out
 
 
 def _axis_distributions(total: int, n: int):
     """(parts, multinomial) for distributing `total` derivatives over n factors."""
-    out = []
-    for parts in _compositions(total, n):
-        coef = math.factorial(total)
-        for p in parts:
-            coef //= math.factorial(p)
-        out.append((parts, coef))
-    return out
+    return [(parts, math.factorial(total) // math.prod(map(math.factorial, parts)))
+            for parts in _compositions(total, n)]
 
 
 def _compositions(total: int, n: int):
@@ -182,26 +177,17 @@ def _compositions(total: int, n: int):
 def _leibniz_derivative(V, beta: MultiIndex, dots) -> complex:
     n = len(V)
     per_axis = [_axis_distributions(bj, n) for bj in beta]
-    fact_cache: dict[tuple[int, int], complex] = {}
 
+    @lru_cache(maxsize=None)
     def factor(i: int, order: int) -> complex:
-        key = (i, order)
-        if key not in fact_cache:
-            fact_cache[key] = sinc_factor_derivative(order, float(dots[i]))
-        return fact_cache[key]
+        return sinc_factor_derivative(order, float(dots[i]))
 
     total = 0.0 + 0.0j
     for combo in itertools.product(*per_axis):
-        coef = 1
-        for _, mult in combo:
-            coef *= mult
-        term = complex(coef)
+        term = complex(math.prod(mult for _, mult in combo))
         for i in range(n):
             gamma = tuple(parts[i] for parts, _ in combo)
-            power = 1
-            for vj, gj in zip(V[i], gamma):
-                if gj:
-                    power *= vj ** gj
+            power = math.prod(vj ** gj for vj, gj in zip(V[i], gamma) if gj)
             if power == 0:
                 term = 0.0
                 break

@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 MAX_DIRECTIONS = 16
 
@@ -100,6 +100,18 @@ def _as_int_vector(v) -> tuple[int, ...]:
     if any(x != y for x, y in zip(vec, v)):
         raise ValueError(f"vector {v!r} is not integral")
     return vec
+
+
+def _as_int_vectors(vectors, dim: int | None = None) -> tuple[tuple[int, ...], ...]:
+    """A nonempty list of integral vectors as integer tuples, each with dim
+    entries (as many as the first when dim is None); else ValueError."""
+    vecs = tuple(_as_int_vector(v) for v in vectors)
+    if not vecs:
+        raise ValueError("need at least one vector")
+    dim = len(vecs[0]) if dim is None else dim
+    if any(len(v) != dim for v in vecs):
+        raise ValueError(f"every vector must have {dim} entries")
+    return vecs
 
 
 def _echelon(rows):
@@ -349,9 +361,7 @@ def nonorthogonal_directions(V, freq) -> tuple[int, ...]:
 
 def linear_form_product(vectors) -> dict[tuple[int, ...], int]:
     """Expansion of prod_v (x.v) as {exponent tuple: integer coefficient}."""
-    vecs = [_as_int_vector(v) for v in vectors]
-    if not vecs:
-        raise ValueError("need at least one vector")
+    vecs = _as_int_vectors(vectors)
     d = len(vecs[0])
     poly: dict[tuple[int, ...], int] = {(0,) * d: 1}
     for v in vecs:
@@ -370,13 +380,15 @@ def product_derivative(beta, vectors) -> int:
     """D^beta applied to prod_v (x.v), for |beta| = number of vectors.
 
     The result is the constant beta! * [x^beta] prod (x.v), always an
-    integer.
+    integer, computed once per beta and vector tuple in a process.
     """
     beta = MultiIndex.of(beta)
-    vecs = [_as_int_vector(v) for v in vectors]
+    vecs = _as_int_vectors(vectors, len(beta))
     if beta.order != len(vecs):
         raise ValueError("derivative order must equal the number of factors")
-    if len(beta) != len(vecs[0]):
-        raise ValueError("multi-index dimension mismatch")
-    coef = linear_form_product(vecs).get(beta.exponents, 0)
-    return beta.factorial * coef
+    return _product_derivative(beta, vecs)
+
+
+@lru_cache(maxsize=None)
+def _product_derivative(beta: MultiIndex, vecs: tuple[tuple[int, ...], ...]) -> int:
+    return beta.factorial * linear_form_product(vecs).get(beta.exponents, 0)

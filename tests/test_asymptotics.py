@@ -341,6 +341,21 @@ class TestExponentValidation:
             sobolev_product_norm(gaussian(2, 1.0), [(1, 0), (0, 1)], p)
 
 
+class TestVectorValidation:
+    # [] raised IndexError at p = 3, [(1, 0, 0)] leaked a numpy message at
+    # p = 2, and [(1.5, 0)] at p = 3 returned the value for (1, 0)
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    @pytest.mark.parametrize("vectors", [[], [(1, 0, 0)], [(1.5, 0)]])
+    def test_sobolev_product_norm_rejects(self, vectors, p):
+        with pytest.raises(ValueError, match="vector"):
+            sobolev_product_norm(gaussian(2, 1.0), vectors, p)
+
+    @pytest.mark.parametrize("vectors", [[], [(1, 0, 0)], [(1.5, 0)]])
+    def test_directional_derivative_rejects(self, vectors):
+        with pytest.raises(ValueError, match="vector"):
+            directional_derivative(gaussian(2, 1.0), vectors, np.zeros((3, 2)))
+
+
 def _error_norm_at_order(order):
     g = gaussian(1, 1.0)
     m = build_model(preset("bspline(2)"), 0.5, g)

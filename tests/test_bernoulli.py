@@ -220,6 +220,26 @@ class TestMonomialErrorSeries:
         s = monomial_error_series(V, (1, 1), x, 100)
         assert np.abs(s.imag).max() < 1e-12
 
+    # values of the series at radius 2000 when the weights came from a
+    # complex division per active direction; the weighing changed, the
+    # values must not (within 1e-14: progression_sum's matrix product runs
+    # on whatever BLAS is installed)
+    PINNED_POINTS = ((0.1, 0.2), (0.37, 0.81), (0.5, 0.25), (0.93, 0.06))
+    PINNED = {
+        ("courant", (2, 0)): (-0.07666667926549951, 0.06643332067570377,
+                              0.083333320674518, -0.10156667919874174),
+        ("courant2", (4, 0)): (0.025233333333334315, -0.021002276666665754,
+                               -0.029166666666665727, 0.029095323333334283),
+    }
+
+    @pytest.mark.parametrize("name, beta", list(PINNED))
+    def test_pinned_values(self, name, beta):
+        want = np.array(self.PINNED[name, beta])
+        got = monomial_error_series(preset(name), beta, np.array(self.PINNED_POINTS), 2000)
+        scale = np.abs(want).max()
+        assert np.abs(got.real - want).max() <= 1e-14 * scale
+        assert np.abs(got.imag).max() <= 1e-14 * scale
+
 
 def _reference_series(V, beta, x, radius, mode):
     """The series one frequency at a time: a scalar transform_derivative

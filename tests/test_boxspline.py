@@ -24,7 +24,7 @@ from boxproj import (
 from boxproj.boxspline import sinc_factor, sinc_factor_derivative
 from boxproj.checks import integral_identity_check
 from boxproj.checks import _leibniz_transform_derivative
-from boxproj.lattice import multi_indices
+from boxproj.lattice import multi_indices, nonorthogonal_directions, product_derivative
 
 THREE_D = DirectionSet(((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)))
 
@@ -152,6 +152,51 @@ class TestTransformDerivatives:
             # each route of the rule is exercised with nonzero values
             closed, leibniz = active == order, active < order
             assert np.any(got[closed if order == k else leibniz] != 0)
+
+    SMOOTH = ("bspline(2)", "bspline(3)", "tensor(2,2)", "courant", "courant2")
+
+    @staticmethod
+    def _critical_cases(name):
+        """(V, beta, rows) for every critical beta of the preset, on the
+        series rows k alpha (k = +-1, 2, 7, 2000) and on a shuffled
+        radius-6 cube."""
+        V = preset(name)
+        d, k = V.dimension, V.margin + 1
+        mults = np.array([1, 2, 7, 2000, -1, -2, -7, -2000])
+        lines = np.concatenate([np.multiply.outer(mults, cls.alpha) for cls in V.classes])
+        cube = np.array([a for a in itertools.product(range(-6, 7), repeat=d) if any(a)])
+        cube = cube[np.random.default_rng(25).permutation(len(cube))]
+        return [(V, beta, rows) for beta in multi_indices(d, k) for rows in (lines, cube)]
+
+    @pytest.mark.parametrize("name", SMOOTH)
+    def test_closed_form_is_the_complex_division(self, name):
+        # a row with exactly |beta| active directions weighs
+        # complex(c) / d_1 / d_2 ... (the d_i its integer dots with the
+        # active directions, c the product derivative), bit for bit in the
+        # real part; a row with more is exactly 0
+        for V, beta, rows in self._critical_cases(name):
+            got = transform_derivatives(V, beta, rows)
+            groups = {}
+            for r, freq in enumerate(rows):
+                groups.setdefault(nonorthogonal_directions(V, freq), []).append(r)
+            for active, members in groups.items():
+                if len(active) > sum(beta):
+                    assert np.all(got[members] == 0)
+                    continue
+                c = product_derivative(beta, [V[i] for i in active])
+                want = np.full(len(members), complex(c))
+                for i in active:
+                    want = want / (rows[members] @ np.array(V[i]))
+                assert np.array_equal(got[members].real, want.real), (name, beta, active)
+
+    @pytest.mark.parametrize("name", SMOOTH)
+    def test_shuffling_rows_permutes_the_weights(self, name):
+        perm = np.random.default_rng(7).permutation
+        for V, beta, rows in self._critical_cases(name):
+            got = transform_derivatives(V, beta, rows)
+            p = perm(len(rows))
+            shuffled = transform_derivatives(V, beta, rows[p])
+            assert np.array_equal(shuffled.view(float), got[p].view(float))
 
     def test_rejects_bad_frequencies(self):
         V = preset("courant")

@@ -368,6 +368,21 @@ class TestProductDerivative:
         with pytest.raises(ValueError):
             product_derivative((1, 0), [(1, 0), (0, 1)])
 
+    def test_vector_containers_agree_and_checks_outlive_the_cache(self):
+        vectors = [(1, 2), (3, -1), (0, 1)]
+        rows = np.array(vectors)
+        want = product_derivative((2, 1), vectors)
+        assert want == 6  # 2! 1! times the x^2 y coefficient 3 of (x + 2y)(3x - y) y
+        for vecs in (vectors, tuple(vectors), [list(v) for v in vectors], list(rows), rows):
+            got = product_derivative((2, 1), vecs)
+            assert got == want and type(got) is int
+        with pytest.raises(ValueError, match="order"):
+            product_derivative((2, 2), vectors)
+        with pytest.raises(ValueError, match="3 entries"):
+            product_derivative((2, 1, 0), vectors)
+        with pytest.raises(ValueError, match="integral"):
+            product_derivative((2, 1), [(1, 2), (3, -1), (0, 1.5)])
+
     def test_against_sympy_expansion(self):
         rng = np.random.default_rng(9)
         x = sympy.symbols("x0 x1 x2")
