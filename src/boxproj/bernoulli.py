@@ -212,7 +212,11 @@ def monomial_error_series(V, beta, x, radius: int):
     |beta| non-orthogonal directions, so its coefficient is a structural
     zero (below the critical order every coefficient is, and the series is
     exactly 0).  The multiples within the radius are weighed by one
-    `transform_derivatives` call, and the two progressions z^k and z^-k of
+    `transform_derivatives` call per class, both signs at once, so that a
+    call's temporaries stay small: one call over every class's rows made
+    temporaries of up to 1.1 MB at radius 2000, which glibc trims off its
+    heap and faults in afresh on every call unless something else in the
+    process has raised its thresholds.  The two progressions z^k and z^-k of
     each class, z = exp(2 pi i alpha.x), are summed by `progression_sum` at
     about 2 sqrt(K) exponentials per point for K multiples; a class whose
     weights all vanish is skipped.  radius must be a positive integer, x
@@ -230,14 +234,13 @@ def monomial_error_series(V, beta, x, radius: int):
         raise ValueError("lattice series needs at least one point")
     if beta.order > V.margin + 1:
         raise ValueError("the lattice series applies up to the critical order only")
-    alphas = [np.array(cls.alpha) for cls in V.classes]
-    counts = [radius // int(np.abs(a).max()) for a in alphas]
-    freqs = np.concatenate([np.multiply.outer(np.arange(sign, sign * (K + 1), sign), a)
-                            for a, K in zip(alphas, counts) for sign in (1, -1)])
-    weights = np.split(transform_derivatives(V, beta, freqs),
-                       np.cumsum(np.repeat(counts, 2))[:-1])
     acc = np.zeros(len(pts), dtype=complex)
-    for a, ahead, behind in zip(alphas, weights[0::2], weights[1::2]):
+    for cls in V.classes:
+        a = np.array(cls.alpha)
+        K = radius // int(np.abs(a).max())
+        k = np.arange(1, K + 1)
+        weights = transform_derivatives(V, beta, np.multiply.outer(np.concatenate([k, -k]), a))
+        ahead, behind = weights[:K], weights[K:]
         if ahead.any() or behind.any():
             acc += progression_sum(pts @ a, ahead, behind)
     acc *= (1.0 / TWO_PI_I) ** beta.order

@@ -114,13 +114,17 @@ def transform_derivatives(V, beta, freqs) -> np.ndarray:
     is entire and nonzero, and every other factor has a simple zero, so
     rows are grouped by their set of non-orthogonal directions, the uint16
     code sum_i (freq . v_i != 0) << i (a set has at most 16 directions),
-    with no sort.  A group with more active directions than |beta| is a
-    structural zero; one with exactly |beta| takes the real closed form
-    c / prod(freq . v) over the active v, c = product_derivative(beta,
-    active), for all its rows at once, as c times 1.0 / (freq . v) for each
-    v in order: bit for bit the complex division, which numpy does by a
-    real divisor d as a product with 1 / d.  Only rows with fewer active
-    directions than |beta| run the Leibniz expansion, one by one.
+    with no sort.  Only the codes are kept for every row: the dots
+    freq . v are formed again on each group's rows (`_dots`), so that a
+    call's temporaries stay a few int64 per row and the C allocator need
+    not map them afresh on every call.  A group with more
+    active directions than |beta| is a structural zero; one with exactly
+    |beta| takes the real closed form c / prod(freq . v) over the active v,
+    c = product_derivative(beta, active), for all its rows at once, as c
+    times 1.0 / (freq . v) for each v in order: bit for bit the complex
+    division, which numpy does by a real divisor d as a product with
+    1 / d.  Only rows with fewer active directions than |beta| run the
+    Leibniz expansion, one by one.
     """
     V = _coerce(V)
     beta = MultiIndex.of(beta)
@@ -134,13 +138,9 @@ def transform_derivatives(V, beta, freqs) -> np.ndarray:
     freqs = raw.astype(np.int64, copy=False)
     if np.any(freqs != raw):
         raise ValueError("frequencies must be integral")
-    dots = np.zeros((len(V), len(freqs)), dtype=np.int64)
     codes = np.zeros(len(freqs), dtype=np.uint16)
-    for i, (v, dot) in enumerate(zip(V, dots)):
-        for j, vj in enumerate(v):
-            if vj:
-                dot += freqs[:, j] * vj
-        codes |= np.left_shift(dot != 0, i, dtype=np.uint16)
+    for i, v in enumerate(V):
+        codes |= np.left_shift(_dots(freqs, v) != 0, i, dtype=np.uint16)
     if not codes.all():
         raise ValueError("frequencies must be nonzero")
     out = np.zeros(len(freqs), dtype=complex)
@@ -149,14 +149,28 @@ def transform_derivatives(V, beta, freqs) -> np.ndarray:
         if beta.order < len(idx):
             continue
         rows = np.flatnonzero(codes == code)
+        group = freqs if len(rows) == len(freqs) else freqs[rows]
         if beta.order == len(idx):
             val = np.full(len(rows), float(product_derivative(beta, [V[i] for i in idx])))
             for i in idx:
-                val *= 1.0 / dots[i, rows]
+                val *= 1.0 / _dots(group, V[i])
             out.real[rows] = val
         else:
-            out[rows] = [_leibniz_derivative(V, beta, dots[:, r]) for r in rows]
+            dots = np.array([_dots(group, v) for v in V])
+            out[rows] = [_leibniz_derivative(V, beta, d) for d in dots.T]
     return out
+
+
+def _dots(freqs: np.ndarray, v) -> np.ndarray:
+    """freqs . v for every row of an int64 array, as int64 column sums of
+    the columns j with v_j != 0 (a column itself where v_j = 1); it may be
+    a view of freqs.  v must not be zero."""
+    dot = None
+    for j, vj in enumerate(v):
+        if vj:
+            term = freqs[:, j] if vj == 1 else freqs[:, j] * vj
+            dot = term if dot is None else dot + term
+    return dot
 
 
 def _axis_distributions(total: int, n: int):

@@ -278,6 +278,7 @@ def cmd_project(cfg: ExperimentConfig, args) -> int:
         f"window_shape = {model.window_shape}",
         f"unknowns = {model.unknowns}",
         f"residual = {_fmt(coeffs.residual)}",
+        f"iterations = {coeffs.iterations}",
         f"p = {_fmt(p)}",
         f"error_norm = {_fmt(norm)}",
         f"error_power = {_fmt(power)}",

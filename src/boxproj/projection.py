@@ -13,15 +13,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.sparse.linalg import LinearOperator
 
 from .lattice import DirectionSet, _coerce
 from .boxspline import BoxSplineEvaluator
 from . import quadrature
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 MAX_UNKNOWNS = 600_000
 RESIDUAL_TOL = 1e-12
@@ -94,6 +96,7 @@ class CoefficientField:
     window_lo: tuple[int, ...]
     values: np.ndarray
     residual: float = 0.0
+    iterations: int = 0  # conjugate-gradient iterations of the solve
 
     def value_at(self, alpha) -> float:
         idx = tuple(int(a) - lo for a, lo in zip(alpha, self.window_lo))
@@ -143,7 +146,11 @@ class SplineSpaceModel:
         The sum over the offsets gamma of gram[gamma] times the Kronecker
         product over the axes j of E(gamma_j), the k_j x k_j matrix with ones
         where alpha_j - beta_j = gamma_j; CSR sums keep the indices sorted.
+        scipy.sparse is imported on the first call, so that importing the
+        package loads no scipy module.
         """
+        import scipy.sparse as sp
+
         A = sp.csr_matrix((self.unknowns, self.unknowns))
         for gamma, a in self.gram.items():
             A += a * reduce(sp.kron, [sp.eye(k, k=-g, format="csr")
@@ -373,8 +380,9 @@ def _gram_symbol(gram, shape) -> np.ndarray:
 
 
 def _normal_operators(model: SplineSpaceModel):
-    """The Gram operator of the window and its symbol preconditioner, both
-    derived from `model.gram` on this call.
+    """The Gram operator of the window and its symbol preconditioner, two
+    callables on flat C-order arrays, both derived from `model.gram` on
+    this call.
 
     The operator is the window-truncated stencil product
     y[alpha] = sum_gamma a(gamma) c[alpha - gamma] over the alpha with
@@ -394,7 +402,6 @@ def _normal_operators(model: SplineSpaceModel):
     symbol touches zero (linearly dependent shifts).
     """
     shape = model.window_shape
-    n = model.unknowns
     reach = np.max(np.abs(np.array(list(model.gram))), axis=0)
     padded = tuple(int(k + 2 * r) for k, r in zip(shape, reach))
     strides = np.cumprod((1,) + padded[:0:-1])[::-1]
@@ -423,8 +430,46 @@ def _normal_operators(model: SplineSpaceModel):
         z = np.fft.rfftn(r.reshape(shape), s=grid, axes=axes)
         return np.fft.irfftn(z / symbol, s=grid, axes=axes)[window].ravel()
 
-    return (LinearOperator((n, n), matvec=gram, dtype=float),
-            LinearOperator((n, n), matvec=precondition, dtype=float))
+    return gram, precondition
+
+
+def _cg(A, b: np.ndarray, M, rtol: float, maxiter: int) -> tuple[np.ndarray, int]:
+    """Preconditioned conjugate gradients for A x = b from x = 0: the
+    solution and the number of iterations taken, maxiter if the residual
+    never fell below rtol ||b||.  A and M are callables on flat arrays.
+
+    Step for step the loop of scipy 1.17's `scipy.sparse.linalg.cg` with
+    x0 = None and atol = 0 (the same products, in the same order, updated
+    in place as it updates them), so its iterates are scipy's bit for bit:
+    the residual is tested before each step, and b = 0 returns (b, 0).
+    """
+    bnorm = np.linalg.norm(b)
+    if bnorm == 0:
+        return b, 0
+    atol = rtol * float(bnorm)
+    x, r = np.zeros(len(b)), b.copy()
+    rho_prev, p = None, None
+    for iteration in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return x, iteration
+        z = M(r)
+        rho = np.dot(r, z)
+        if iteration > 0:
+            p *= rho / rho_prev
+            p += z
+        else:
+            p = z.copy()
+        q = A(p)
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return x, maxiter
+
+
+# `project` calls the solver through this namespace, so that a profiler
+# can time the solve by replacing `spla`, as bench/tracing.py does.
+spla = SimpleNamespace(cg=_cg)
 
 
 def project(model: SplineSpaceModel, f) -> CoefficientField:
@@ -444,15 +489,19 @@ def project(model: SplineSpaceModel, f) -> CoefficientField:
     Gaussian, a bump and a monomial, the right-hand sides were within
     7.8e-16 and the coefficients within 5.4e-15 of each other, relative to
     their largest entry.  The normal
-    equations are solved matrix-free by conjugate gradients on the Gram
-    stencil of `model.gram`, preconditioned by the inverse Gram symbol on
-    a zero-padded periodic grid (`_normal_operators`); both are derived on
-    every call.  The preconditioned system is well conditioned away from
-    the window's edges, so a solve takes a handful of iterations (one on a
-    window padded around a decaying f).  The Gram matrix is positive
-    definite when the shifts form a Riesz basis, and semidefinite when they
-    are linearly dependent (zp, whose symbol touches zero); the right-hand
-    side of a projection is then consistent and the solve still converges.
+    equations are solved matrix-free by the package's own conjugate
+    gradients (`_cg`, step for step scipy's `cg`, so the coefficients are
+    the ones scipy's loop gives, bit for bit) on the Gram stencil of
+    `model.gram`, preconditioned by the inverse Gram symbol on a
+    zero-padded periodic grid (`_normal_operators`); both are derived on
+    every call, and the true residual is checked with the same stencil.
+    The preconditioned system is well conditioned away from the window's
+    edges, so a solve takes a handful of iterations (one on a window
+    padded around a decaying f); the count is the result's `iterations`.
+    The Gram matrix is positive definite when the shifts form a Riesz
+    basis, and semidefinite when they are linearly dependent (zp, whose
+    symbol touches zero); the right-hand side of a projection is then
+    consistent and the solve still converges.
     The true relative residual must come out below RESIDUAL_TOL.  A
     non-finite Gram entry or right-hand side, and a solve that does not
     converge, raise SolverError.  On the point route f is called on
@@ -466,12 +515,13 @@ def project(model: SplineSpaceModel, f) -> CoefficientField:
     if not np.all(np.isfinite(b)):
         raise SolverError("non-finite right-hand side: f is not finite on the window")
     A, M = _normal_operators(model)
-    c, info = spla.cg(A, b, rtol=RESIDUAL_TOL * 1e-2, atol=0.0, M=M)
-    if info != 0:
-        raise SolverError(f"conjugate gradients did not converge in {info} iterations")
+    maxiter = 10 * len(b)
+    c, iterations = spla.cg(A, b, M, rtol=RESIDUAL_TOL * 1e-2, maxiter=maxiter)
+    if iterations == maxiter:
+        raise SolverError(f"conjugate gradients did not converge in {maxiter} iterations")
     if not np.all(np.isfinite(c)):
         raise SolverError("normal-equation solve produced non-finite values")
-    resid = A @ c - b
+    resid = A(c) - b
     scale = max(float(np.linalg.norm(b)), 1e-300)
     rel = float(np.linalg.norm(resid)) / scale
     if rel > RESIDUAL_TOL:
@@ -480,6 +530,7 @@ def project(model: SplineSpaceModel, f) -> CoefficientField:
         window_lo=tuple(int(a) for a in model.window_lo),
         values=c.reshape(model.window_shape),
         residual=rel,
+        iterations=iterations,
     )
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -239,6 +240,22 @@ class TestMonomialErrorSeries:
         scale = np.abs(want).max()
         assert np.abs(got.real - want).max() <= 1e-14 * scale
         assert np.abs(got.imag).max() <= 1e-14 * scale
+
+    def test_temporaries_stay_small(self):
+        # one transform_derivatives call per class, with the dots formed per
+        # group, keeps a radius-2000 courant2 call's temporaries near 370 KB
+        # (1.1 MB as one call over every class keeping every dot, which the
+        # C allocator trims off its heap and faults in again on every call)
+        V, pts = preset("courant2"), sample_grid(2, 7)
+        monomial_error_series(V, (4, 0), pts, 2000)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            monomial_error_series(V, (4, 0), pts, 2000)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 640 * 1024
 
 
 def _reference_series(V, beta, x, radius, mode):

@@ -237,6 +237,16 @@ class TestProject:
         assert main(["project", "--config", path]) == 0
         assert "error_norm = " in capsys.readouterr().out
 
+    def test_iterations_follow_the_residual(self, tmp_path, capsys):
+        # courant2's criterion-5 window around x^(3, 0): a solve of many steps
+        path = write_cfg(tmp_path, "preset = courant2\nfunction = monomial\nexponents = [3, 0]\n"
+                                   "h = 1/8\nbox = [[-2, -2], [2, 2]]\n")
+        assert main(["project", "--config", path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("residual = "))
+        key, value = lines[at + 1].split(" = ")
+        assert key == "iterations" and int(value) > 1
+
     def test_solver_error_is_reported(self, tmp_path, capsys, monkeypatch):
         def fail(model, f):
             raise SolverError("relative residual 1.000e-03 above 1e-12")
