@@ -16,8 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import HyperplaneClass, MultiIndex, _coerce, product_derivative
-from .boxspline import transform_derivatives
+from .lattice import HyperplaneClass, MultiIndex, _coerce, _dot, product_derivative
+from .boxspline import closed_form_weights
 from . import quadrature
 
 TWO_PI_I = 2j * np.pi
@@ -211,18 +211,16 @@ def monomial_error_series(V, beta, x, radius: int):
     a nonzero coefficient: any other frequency keeps more than margin + 1 >=
     |beta| non-orthogonal directions, so its coefficient is a structural
     zero (below the critical order every coefficient is, and the series is
-    exactly 0).  The multiples within the radius are weighed by one
-    `transform_derivatives` call per class, both signs at once, so that a
-    call's temporaries stay small: one call over every class's rows made
-    temporaries of up to 1.1 MB at radius 2000, which glibc trims off its
-    heap and faults in afresh on every call unless something else in the
-    process has raised its thresholds.  The two progressions z^k and z^-k of
-    each class, z = exp(2 pi i alpha.x), are summed by `progression_sum` at
-    about 2 sqrt(K) exponentials per point for K multiples; a class whose
-    weights all vanish is skipped.  radius must be a positive integer, x
-    must hold at least one point, and |beta| above margin + 1 raises
-    ValueError.  Returns complex values; symmetric truncation makes the
-    imaginary part vanish up to roundoff.
+    exactly 0).  At k alpha the non-orthogonal directions are the class's
+    members, so each class's weights come from its closed form
+    (`_class_weights`), with no call to `transform_derivatives`, which stays
+    the reference they are checked against.  The two progressions z^k and
+    z^-k of each class, z = exp(2 pi i alpha.x), are summed by
+    `progression_sum` at about 2 sqrt(K) exponentials per point for K
+    multiples; a class whose weights all vanish is skipped.  radius must be
+    a positive integer, x must hold at least one point, and |beta| above
+    margin + 1 raises ValueError.  Returns complex values; symmetric
+    truncation makes the imaginary part vanish up to roundoff.
     """
     _check_radius(radius)
     V = _coerce(V)
@@ -236,12 +234,34 @@ def monomial_error_series(V, beta, x, radius: int):
         raise ValueError("the lattice series applies up to the critical order only")
     acc = np.zeros(len(pts), dtype=complex)
     for cls in V.classes:
-        a = np.array(cls.alpha)
-        K = radius // int(np.abs(a).max())
-        k = np.arange(1, K + 1)
-        weights = transform_derivatives(V, beta, np.multiply.outer(np.concatenate([k, -k]), a))
-        ahead, behind = weights[:K], weights[K:]
-        if ahead.any() or behind.any():
-            acc += progression_sum(pts @ a, ahead, behind)
+        weights = _class_weights(V, beta, cls, radius)
+        if weights is not None:
+            K = len(weights) // 2
+            acc += progression_sum(pts @ np.array(cls.alpha), weights[:K], weights[K:])
     acc *= (1.0 / TWO_PI_I) ** beta.order
     return acc[0] if single else acc
+
+
+def _class_weights(V, beta: MultiIndex, cls: HyperplaneClass, radius: int):
+    """D^beta transform at the multiples k alpha of the class normal, k = 1..K
+    then -1..-K with K = radius // max|alpha_i|, as a complex array; None
+    when they all vanish.
+
+    At k alpha the non-orthogonal directions are the class members U, so
+    the weight is c / prod_{v in U} (k alpha.v), c = product_derivative(beta,
+    U), when |beta| = |U|, and a structural zero when |beta| < |U|.  A class
+    is skipped when K = 0, when |beta| != |U| or when c = 0; otherwise its
+    weights are `closed_form_weights` of c and the dots k (alpha.v) over the
+    members in ascending V order, bit for bit `transform_derivatives` on
+    the same rows.
+    """
+    K = radius // max(map(abs, cls.alpha))
+    if K == 0 or beta.order != cls.degree:
+        return None
+    c = product_derivative(beta, cls.members)
+    if c == 0:
+        return None
+    k = np.arange(1, K + 1)
+    ks = np.concatenate([k, -k])
+    dots = (ks * _dot(cls.alpha, V[i]) for i in cls.member_indices)
+    return closed_form_weights(c, 2 * K, dots).astype(complex)

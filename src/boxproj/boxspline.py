@@ -119,12 +119,9 @@ def transform_derivatives(V, beta, freqs) -> np.ndarray:
     call's temporaries stay a few int64 per row and the C allocator need
     not map them afresh on every call.  A group with more
     active directions than |beta| is a structural zero; one with exactly
-    |beta| takes the real closed form c / prod(freq . v) over the active v,
-    c = product_derivative(beta, active), for all its rows at once, as c
-    times 1.0 / (freq . v) for each v in order: bit for bit the complex
-    division, which numpy does by a real divisor d as a product with
-    1 / d.  Only rows with fewer active directions than |beta| run the
-    Leibniz expansion, one by one.
+    |beta| takes `closed_form_weights` of c = product_derivative(beta,
+    active) and its dots, for all its rows at once.  Only rows with fewer
+    active directions than |beta| run the Leibniz expansion, one by one.
     """
     V = _coerce(V)
     beta = MultiIndex.of(beta)
@@ -151,14 +148,28 @@ def transform_derivatives(V, beta, freqs) -> np.ndarray:
         rows = np.flatnonzero(codes == code)
         group = freqs if len(rows) == len(freqs) else freqs[rows]
         if beta.order == len(idx):
-            val = np.full(len(rows), float(product_derivative(beta, [V[i] for i in idx])))
-            for i in idx:
-                val *= 1.0 / _dots(group, V[i])
-            out.real[rows] = val
+            c = product_derivative(beta, [V[i] for i in idx])
+            out.real[rows] = closed_form_weights(c, len(rows), (_dots(group, V[i]) for i in idx))
         else:
             dots = np.array([_dots(group, v) for v in V])
             out[rows] = [_leibniz_derivative(V, beta, d) for d in dots.T]
     return out
+
+
+def closed_form_weights(c: int, size: int, dots) -> np.ndarray:
+    """The real closed form c / prod(d) of D^beta transform on `size` rows
+    whose active directions number |beta|, for the integer c =
+    product_derivative(beta, active) and the int64 dot arrays d = freq . v
+    of the active v in ascending V order: float(c), then times 1.0 / d for
+    each d in that order.  numpy divides a complex by a real divisor d as
+    the product with 1 / d, so this is bit for bit complex(c) divided by
+    each dot in turn; the order of the dots is part of that contract once
+    some |d| exceeds 1.  `dots` may be a generator, so that only one dot
+    array is alive at a time."""
+    val = np.full(size, float(c))
+    for d in dots:
+        val *= 1.0 / d
+    return val
 
 
 def _dots(freqs: np.ndarray, v) -> np.ndarray:

@@ -38,8 +38,10 @@ from . import (
     project,
     spline_values,
     transform_derivative,
+    transform_derivatives,
 )
-from .bernoulli import INNER_ORDER, BernoulliSplineTerm, bernoulli_periodic, ridge_cut
+from .bernoulli import (INNER_ORDER, BernoulliSplineTerm, _class_weights, bernoulli_periodic,
+                        ridge_cut)
 from .boxspline import _leibniz_derivative
 from .lattice import _coerce
 from .projection import RULE_ORDER, CoefficientField, SplineSpaceModel, _gram_symbol, _value_fn
@@ -284,6 +286,21 @@ def run_battery(perturb_gram: float = 0.0) -> list[CheckResult]:
                 b = _leibniz_transform_derivative(V, beta, alpha)
                 worst = max(worst, abs(a - b))
     out.append(_check("transform_two_route", worst, 1e-12))
+
+    bad = 0
+    for V in (preset("bspline(3)"), preset("courant"), preset("courant2"), _THREE_D):
+        for beta in multi_indices(V.dimension, V.margin + 1):
+            for cls in V.classes:
+                k = np.arange(1, 300 // max(map(abs, cls.alpha)) + 1)
+                want = transform_derivatives(V, beta, np.multiply.outer(np.concatenate([k, -k]),
+                                                                        cls.alpha))
+                got = _class_weights(V, beta, cls, 300)
+                if got is None:
+                    bad += np.count_nonzero(want)
+                else:
+                    bad += np.count_nonzero(got.view(np.uint64) != want.view(np.uint64))
+    out.append(_check("series_weights", bad, 0,
+                      "bitwise mismatches of the closed-form class weights, radius 300"))
 
     hat = BoxSplineEvaluator(preset("bspline(2)"))
     out.append(_check("hat_peak", abs(hat(np.array([1.0])) - 1.0), 1e-8))

@@ -247,26 +247,34 @@ class Monomial(TestFunction):
         point.  Exponent 1 is the column and 2 is x * x, both bitwise what
         pow gives; k >= 3 is the left-to-right product of k columns, one
         rounding per product, within k - 2 ulp of np.power and far
-        cheaper than its libm call.
+        cheaper than its libm call.  A leading exponent-1 column is read in
+        place, not copied, and the first product with it is a new array;
+        only a result that is that column alone is copied.
         """
         beta = self._index(beta)
         pts, single = _split_points(x, self.dim)
         if any(bj > ej for ej, bj in zip(self.exponents, beta)):
             out = np.zeros(len(pts))
         else:
-            out = None
+            out, borrowed = None, False  # borrowed: out is a column of pts
             for j, (ej, bj) in enumerate(zip(self.exponents, beta)):
                 coef = math.perm(ej, bj)
                 if coef != 1:
                     out = np.full(len(pts), float(coef)) if out is None else out * coef
+                    borrowed = False
                 k, col = ej - bj, pts[:, j]
                 if k:
+                    factor = col if k == 1 else _power(col, k)
                     if out is None:
-                        out = _power(col, k)
+                        out, borrowed = factor, k == 1
+                    elif borrowed:
+                        out, borrowed = out * factor, False
                     else:
-                        out *= col if k == 1 else _power(col, k)
+                        out *= factor
             if out is None:
                 out = np.ones(len(pts))
+            elif borrowed:
+                out = out.copy()
         return float(out[0]) if single else out
 
     def factor(self, axis: int, t):

@@ -303,7 +303,7 @@ class TestCheck:
         out = capsys.readouterr().out
         assert '"pass": true' in out
         assert '"pass": false' not in out
-        assert "19/19 passed" in out
+        assert "20/20 passed" in out
 
     def test_perturbed_gram_detected(self, capsys):
         assert main(["check", "--perturb-gram", "1e-3"]) == 1

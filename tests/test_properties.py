@@ -10,12 +10,13 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from boxproj import (BoxSplineEvaluator, DirectionSet, autocorrelation_table, hyperplane_classes,
-                     monomial_error_series, multi_indices, nonorthogonal_directions, preset)
-from boxproj.bernoulli import BernoulliSplineTerm
+                     monomial_error_series, multi_indices, nonorthogonal_directions, preset,
+                     transform_derivatives)
+from boxproj.bernoulli import TWO_PI_I, BernoulliSplineTerm, _class_weights, progression_sum
 from boxproj.checks import _doubled_autocorrelation, gram_symbol_range
 from boxproj.quadrature import box_cells, sample_grid
 from test_bernoulli import _reference_series
@@ -141,3 +142,64 @@ def test_lines_series_is_the_cube_series(V):
         want = _reference_series(V, beta, x, radius, "cube")
         got = monomial_error_series(V, beta, x, radius)
         assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1e-300), beta
+
+
+def _class_multiples(cls, radius):
+    """The rows k alpha, k = 1..K then -1..-K, K = radius // max|alpha_i|."""
+    a = np.array(cls.alpha)
+    k = np.arange(1, radius // int(np.abs(a).max()) + 1)
+    return np.multiply.outer(np.concatenate([k, -k]), a)
+
+
+def _per_class_series(V, beta, x, radius):
+    """The lattice series with each class's weights from one
+    transform_derivatives call on its multiples, both signs at once, and a
+    class skipped when they all vanish."""
+    acc = np.zeros(len(x), dtype=complex)
+    for cls in V.classes:
+        weights = transform_derivatives(V, beta, _class_multiples(cls, radius))
+        K = len(weights) // 2
+        if weights.any():
+            acc += progression_sum(x @ np.array(cls.alpha), weights[:K], weights[K:])
+    acc *= (1.0 / TWO_PI_I) ** beta.order
+    return acc
+
+
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(SERIES_SETS)
+# the normal (1, -2) of this set lies beyond radius 1: a class with K = 0
+@example(DirectionSet(((1, 0), (2, 1), (1, 1))))
+@example(preset("tensor(2,2)"))
+def test_class_weights_are_transform_derivatives_bitwise(V):
+    # every class's closed-form weights against the general route on the
+    # same rows, signed zeros included; a class without weights (K = 0,
+    # beta below the critical order, c = 0) has only zeros there, and the
+    # series equals the per-class transform_derivatives loop exactly
+    d = V.dimension
+    x = sample_grid(d, 3 if d < 3 else 2)
+    skipped = {"K = 0": 0, "below": 0, "c = 0": 0}
+    for order in (V.margin, V.margin + 1):
+        for beta in multi_indices(d, order):
+            for radius in (1, 7, 2000):
+                for cls in V.classes:
+                    want = transform_derivatives(V, beta, _class_multiples(cls, radius))
+                    got = _class_weights(V, beta, cls, radius)
+                    if got is None:
+                        assert not want.any(), (beta, cls.alpha, radius)
+                        reason = ("K = 0" if len(want) == 0 else
+                                  "below" if order <= V.margin else "c = 0")
+                        skipped[reason] += 1
+                    else:
+                        assert got.dtype == want.dtype
+                        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (
+                            beta, cls.alpha, radius)
+                series = monomial_error_series(V, beta, x, radius)
+                assert np.array_equal(series, _per_class_series(V, beta, x, radius))
+                if order <= V.margin:
+                    assert not series.any()
+    assert skipped["below"] > 0
+    if V.vectors == ((1, 0), (2, 1), (1, 1)):
+        assert skipped["K = 0"] > 0
+    if d == 2 and all(0 in v for v in V.vectors):
+        # a tensor set: a critical beta off an axis has c = 0 on that class
+        assert skipped["c = 0"] > 0

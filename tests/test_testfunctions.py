@@ -231,6 +231,20 @@ class TestColumnKernels:
         out[:] = -7.0
         assert x[:, 0].tolist() == [0.25, 1.25]
 
+    @pytest.mark.parametrize("e", [(1, 0), (0, 1), (1, 1), (1, 2), (3, 0)])
+    def test_leading_column_is_read_not_copied(self, e):
+        # a lone exponent-1 column is copied, and one that leads a product
+        # is read in place: neither changes a bit or hands back the points
+        x = tile_points(np.array([[0.25, 0.5]]), np.array([[0, 0], [1, 2]]))
+        kept = x.copy()
+        f = monomial(e)
+        for beta in [(0, 0), (e[0], 0), (0, e[1])]:
+            out = f.derivative(beta, x)
+            assert out.tobytes() == _reference(f, beta, x).tobytes(), beta
+            assert not np.shares_memory(out, x)
+            out[:] = -7.0
+            assert x.tobytes() == kept.tobytes()
+
     @pytest.mark.parametrize("f", [monomial((1, 1)), gaussian(2), bump(2)],
                              ids=lambda f: f.tag)
     @pytest.mark.parametrize("beta", [(1,), (1, 0, 0), (0, 0, 1), ()])
