@@ -55,6 +55,13 @@ def _outer_cells(f):
     return lo, hi
 
 
+def _check_dimension(f, V: DirectionSet) -> None:
+    """ValueError unless f's effective box has the dimension of V."""
+    d = len(_outer_cells(f)[0])
+    if d != V.dimension:
+        raise ValueError(f"f of dimension {d} for a direction set of dimension {V.dimension}")
+
+
 def _outer_rule(f, order: int):
     """The outer rule: the tensor Gauss rule of the given order on each unit
     cell of `_outer_cells`."""
@@ -185,10 +192,12 @@ def error_constant(f, V, p: float) -> float:
     `_class_derivatives`, B on the rule of order INNER_ORDER, CHUNK_ROWS
     outer nodes at a time; in 3-D one such block would take about 30 GB, so
     p other than 2 above dimension 2 raises `UnsupportedDimensionError` at
-    entry.  p below 1 or not finite raises ValueError.
+    entry.  p below 1 or not finite, or an f whose dimension is not V's,
+    raises ValueError.
     """
     _check_exponent(p)
     V = _coerce(V)
+    _check_dimension(f, V)
     if p != 2 and V.dimension > 2:
         raise UnsupportedDimensionError(
             f"p = {p} sums |D B^T|^p over the 1.8 million nodes of the 3-D cell rule, about "
@@ -211,9 +220,11 @@ def error_constant_l2(f, V) -> float:
     Distinct classes have non-parallel normals, so their lattice Fourier
     supports meet only at zero; the cross terms drop and the constant is
     a weighted sum of squared directional-derivative norms, the diagonal
-    of one `_derivative_gram` over all classes.
+    of one `_derivative_gram` over all classes.  An f whose dimension is
+    not V's raises ValueError.
     """
     V = _coerce(V)
+    _check_dimension(f, V)
     period_norm = float(bernoulli_l2_norm_sq(V.margin + 1))
     norms = np.diag(_derivative_gram(f, [cls.members for cls in V.classes]))
     return float(sum(period_norm * float(cls.scale) ** 2 * float(norm)

@@ -55,8 +55,7 @@ def bernoulli_periodic(k: int, t):
     degree-1 case takes the symmetric value 0.  Values: degree 1 is
     1/2 - frac(t), degree 2 at 0 is -1/12.
     """
-    if k < 1:
-        raise ValueError("degree must be >= 1")
+    quadrature._check_integer("degree", k, 1)
     t = np.asarray(t, dtype=float)
     u = np.mod(t, 1.0)
     coeffs = [float(c) for c in bernoulli_poly_coeffs(k)]
@@ -72,7 +71,8 @@ def bernoulli_periodic(k: int, t):
 
 
 def bernoulli_l2_norm_sq(k: int) -> Fraction:
-    """Exact integral over one period of the squared degree-k function."""
+    """Exact integral over one period of the squared degree-k function, k >= 1."""
+    quadrature._check_integer("degree", k, 1)
     nums = bernoulli_numbers(2 * k)
     return Fraction((-1) ** (k - 1)) * nums[2 * k] / math.factorial(2 * k)
 
@@ -169,12 +169,14 @@ class ErrorFunctionExpansion:
     terms: tuple[tuple[BernoulliSplineTerm, int], ...]
 
     def evaluate(self, x):
-        """Values at the (n, d) points x, or a float at a single point."""
-        x = np.asarray(x, dtype=float)
-        out = 0.0 if x.ndim == 1 else np.zeros(x.shape[:-1])
+        """Values at the (n, d) points x, or a float at a single point;
+        points of another dimension than beta's raise ValueError."""
+        pts, single = quadrature._as_points(x, len(self.beta))
+        x = pts[0] if single else pts
+        out = 0.0 if single else np.zeros(x.shape[:-1])
         for term, coef in self.terms:
             out = out + coef * term.evaluate(x)
-        return float(out) if x.ndim == 1 else out
+        return float(out) if single else out
 
 
 def error_expansion(V, beta) -> ErrorFunctionExpansion:
@@ -218,16 +220,17 @@ def monomial_error_series(V, beta, x, radius: int):
     z^-k of each class, z = exp(2 pi i alpha.x), are summed by
     `progression_sum` at about 2 sqrt(K) exponentials per point for K
     multiples; a class whose weights all vanish is skipped.  radius must be
-    a positive integer, x must hold at least one point, and |beta| above
-    margin + 1 raises ValueError.  Returns complex values; symmetric
+    a positive integer, x must hold at least one point of V's dimension,
+    and a beta of another dimension or |beta| above margin + 1 raises
+    ValueError.  Returns complex values; symmetric
     truncation makes the imaginary part vanish up to roundoff.
     """
     _check_radius(radius)
     V = _coerce(V)
     beta = MultiIndex.of(beta)
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
+    if len(beta) != V.dimension:
+        raise ValueError("multi-index dimension mismatch")
+    pts, single = quadrature._as_points(x, V.dimension)
     if len(pts) == 0:
         raise ValueError("lattice series needs at least one point")
     if beta.order > V.margin + 1:

@@ -77,8 +77,9 @@ def _moments(kmax: int, t):
 
 
 def sinc_factor_derivative(k: int, t):
-    """k-th derivative of the transform factor; k up to 12."""
-    if not 0 <= k <= MAX_DERIVATIVE_ORDER:
+    """k-th derivative of the transform factor; k an integer in 0..12."""
+    quadrature._check_integer("derivative order", k, 0)
+    if k > MAX_DERIVATIVE_ORDER:
         raise ValueError(f"derivative order must be in 0..{MAX_DERIVATIVE_ORDER}")
     m = _moments(k, t)[k]
     val = (-TWO_PI_I) ** k * m
@@ -90,9 +91,7 @@ def sinc_factor_derivative(k: int, t):
 def fourier_transform(V, xi):
     """Transform of the box spline at frequency xi (vector or (m, d) array)."""
     V = _coerce(V)
-    xi = np.asarray(xi, dtype=float)
-    single = xi.ndim == 1
-    pts = np.atleast_2d(xi)
+    pts, single = quadrature._as_points(xi, V.dimension)
     dots = pts @ np.array(V.vectors, dtype=float).T
     vals = np.ones(len(pts), dtype=complex)
     for i in range(len(V)):
@@ -112,16 +111,13 @@ def transform_derivatives(V, beta, freqs) -> np.ndarray:
 
     At an integer frequency every factor of a direction orthogonal to it
     is entire and nonzero, and every other factor has a simple zero, so
-    rows are grouped by their set of non-orthogonal directions, the uint16
-    code sum_i (freq . v_i != 0) << i (a set has at most 16 directions),
-    with no sort.  Only the codes are kept for every row: the dots
-    freq . v are formed again on each group's rows (`_dots`), so that a
-    call's temporaries stay a few int64 per row and the C allocator need
-    not map them afresh on every call.  A group with more
-    active directions than |beta| is a structural zero; one with exactly
-    |beta| takes `closed_form_weights` of c = product_derivative(beta,
-    active) and its dots, for all its rows at once.  Only rows with fewer
-    active directions than |beta| run the Leibniz expansion, one by one.
+    rows are grouped by their set of non-orthogonal (active) directions,
+    coded as the bits of (dots != 0) for the integer dots freq . v.  A
+    group with more active directions than |beta| is a structural zero;
+    one with exactly |beta| takes `closed_form_weights` of c =
+    product_derivative(beta, active) and its dots, for all its rows at
+    once.  Only rows with fewer active directions than |beta| run the
+    Leibniz expansion, one by one.
     """
     V = _coerce(V)
     beta = MultiIndex.of(beta)
@@ -135,24 +131,21 @@ def transform_derivatives(V, beta, freqs) -> np.ndarray:
     freqs = raw.astype(np.int64, copy=False)
     if np.any(freqs != raw):
         raise ValueError("frequencies must be integral")
-    codes = np.zeros(len(freqs), dtype=np.uint16)
-    for i, v in enumerate(V):
-        codes |= np.left_shift(_dots(freqs, v) != 0, i, dtype=np.uint16)
+    dots = freqs @ np.array(V.vectors, dtype=np.int64).T
+    codes = (dots != 0) @ (1 << np.arange(len(V)))
     if not codes.all():
         raise ValueError("frequencies must be nonzero")
     out = np.zeros(len(freqs), dtype=complex)
-    for code in np.flatnonzero(np.bincount(codes)):
+    for code in np.unique(codes):
         idx = [i for i in range(len(V)) if code >> i & 1]
         if beta.order < len(idx):
             continue
         rows = np.flatnonzero(codes == code)
-        group = freqs if len(rows) == len(freqs) else freqs[rows]
         if beta.order == len(idx):
             c = product_derivative(beta, [V[i] for i in idx])
-            out.real[rows] = closed_form_weights(c, len(rows), (_dots(group, V[i]) for i in idx))
+            out.real[rows] = closed_form_weights(c, len(rows), dots[rows][:, idx].T)
         else:
-            dots = np.array([_dots(group, v) for v in V])
-            out[rows] = [_leibniz_derivative(V, beta, d) for d in dots.T]
+            out[rows] = [_leibniz_derivative(V, beta, d) for d in dots[rows]]
     return out
 
 
@@ -170,18 +163,6 @@ def closed_form_weights(c: int, size: int, dots) -> np.ndarray:
     for d in dots:
         val *= 1.0 / d
     return val
-
-
-def _dots(freqs: np.ndarray, v) -> np.ndarray:
-    """freqs . v for every row of an int64 array, as int64 column sums of
-    the columns j with v_j != 0 (a column itself where v_j = 1); it may be
-    a view of freqs.  v must not be zero."""
-    dot = None
-    for j, vj in enumerate(v):
-        if vj:
-            term = freqs[:, j] if vj == 1 else freqs[:, j] * vj
-            dot = term if dot is None else dot + term
-    return dot
 
 
 def _axis_distributions(total: int, n: int):

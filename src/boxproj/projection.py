@@ -541,12 +541,8 @@ def spline_values(model: SplineSpaceModel, coeffs: CoefficientField, x) -> np.nd
     (point, support offset) pairs; points whose dimension is not the
     model's raise ValueError.
     """
-    pts = np.asarray(x, dtype=float)
-    single = pts.ndim == 1
-    X = np.atleast_2d(pts) / model.h
-    d = model.V.dimension
-    if X.shape[1] != d:
-        raise ValueError(f"points of dimension {X.shape[1]} for a model of dimension {d}")
+    pts, single = quadrature._as_points(x, model.V.dimension)
+    X = pts / model.h
     zlo = np.rint(model.evaluator.support_lo).astype(int)
     zhi = np.rint(model.evaluator.support_hi).astype(int)
     deltas = quadrature.box_cells(1 - zhi, 1 - zlo)

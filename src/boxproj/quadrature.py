@@ -36,6 +36,18 @@ def _check_integer(name: str, value, minimum: int) -> None:
         raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
 
 
+def _as_points(x, dim: int):
+    """(pts, single): x as float points of dimension dim, at least 2-D (no
+    copy of a float array), and whether it was one point; ValueError when
+    its last axis is not dim long."""
+    pts = np.asarray(x, dtype=float)
+    single = pts.ndim == 1
+    pts = np.atleast_2d(pts)
+    if pts.shape[-1] != dim:
+        raise ValueError(f"points of dimension {pts.shape[-1]}, not {dim}")
+    return pts, single
+
+
 @dataclass(frozen=True)
 class CutFamily:
     """Parallel lines normal.x = offset + spacing*k, one per integer k."""

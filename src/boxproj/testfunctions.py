@@ -44,6 +44,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .lattice import MultiIndex
+from . import quadrature
 
 SUPPORT_THRESHOLD = 1e-14
 
@@ -80,15 +81,6 @@ class TestFunction:
         raise NotImplementedError
 
 
-def _split_points(x, dim):
-    pts = np.asarray(x, dtype=float)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    if pts.shape[1] != dim:
-        raise ValueError("point dimension mismatch")
-    return pts, single
-
-
 class Gaussian(TestFunction):
     """exp(-pi |x/s|^2); scale s controls the effective support."""
 
@@ -115,7 +107,7 @@ class Gaussian(TestFunction):
 
     def derivative(self, beta, x):
         beta = self._index(beta)
-        pts, single = _split_points(x, self.dim)
+        pts, single = quadrature._as_points(x, self.dim)
         out = pts[:, 0] * pts[:, 0]
         for j in range(1, self.dim):
             out += pts[:, j] * pts[:, j]
@@ -180,7 +172,7 @@ class Bump(TestFunction):
 
     def derivative(self, beta, x):
         beta = self._index(beta)
-        pts, single = _split_points(x, self.dim)
+        pts, single = quadrature._as_points(x, self.dim)
         t = [pts[:, j] / self.radius for j in range(self.dim)]
         inside = np.abs(t[0]) < 1.0
         for tj in t[1:]:
@@ -252,7 +244,7 @@ class Monomial(TestFunction):
         only a result that is that column alone is copied.
         """
         beta = self._index(beta)
-        pts, single = _split_points(x, self.dim)
+        pts, single = quadrature._as_points(x, self.dim)
         if any(bj > ej for ej, bj in zip(self.exponents, beta)):
             out = np.zeros(len(pts))
         else:

@@ -341,6 +341,20 @@ class TestExponentValidation:
             sobolev_product_norm(gaussian(2, 1.0), [(1, 0), (0, 1)], p)
 
 
+class TestDimensionValidation:
+    # gaussian(3) on courant leaked numpy's "parameter multi_index must be
+    # a sequence of length 3" at p = 2, and "every vector must have 3
+    # entries", about V's vectors, at p = 3
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("call", [lambda f, V: error_constant(f, V, 2.0),
+                                      lambda f, V: error_constant(f, V, 3.0),
+                                      error_constant_l2], ids=["p=2", "p=3", "l2"])
+    def test_f_of_another_dimension_rejected(self, call, dim):
+        with pytest.raises(ValueError, match=f"^f of dimension {dim} for a direction set of "
+                                             "dimension 2"):
+            call(gaussian(dim, 1.0), preset("courant"))
+
+
 class TestVectorValidation:
     # [] raised IndexError at p = 3, [(1, 0, 0)] leaked a numpy message at
     # p = 2, and [(1.5, 0)] at p = 3 returned the value for (1, 0)

@@ -81,6 +81,15 @@ class TestBernoulliBasics:
             right = bernoulli_periodic(k, 1.0 + eps)
             assert abs(left - right) < 1e-7
 
+    # bernoulli_l2_norm_sq(0) returned -1, a negative squared norm; degree
+    # 2.5 raised TypeError from range, and True ran as degree 1
+    @pytest.mark.parametrize("k", [0, 2.5, True])
+    @pytest.mark.parametrize("call", [bernoulli_l2_norm_sq, lambda k: bernoulli_periodic(k, 0.3)],
+                             ids=["l2_norm_sq", "periodic"])
+    def test_degree_must_be_positive_integer(self, call, k):
+        with pytest.raises(ValueError, match="^degree must be a positive integer"):
+            call(k)
+
 
 class TestParseval:
     def test_closed_form_values(self):
@@ -187,6 +196,14 @@ class TestErrorExpansion:
         from boxproj import NonUnimodularError
         with pytest.raises(NonUnimodularError):
             error_expansion(preset("zp"), (3, 0))
+
+    @pytest.mark.parametrize("beta", [(1, 0), (1, 1)])
+    @pytest.mark.parametrize("x", [np.zeros((2, 3)), np.zeros(3)], ids=["points", "point"])
+    def test_points_of_another_dimension_rejected(self, beta, x):
+        # below the critical order courant's empty expansion returned
+        # zeros, and at it numpy's matmul message leaked
+        with pytest.raises(ValueError, match="^points of dimension 3, not 2"):
+            error_expansion(preset("courant"), beta).evaluate(x)
 
 
 class TestMonomialErrorSeries:
@@ -372,6 +389,20 @@ class TestBatchedSeries:
         V = preset("courant")
         with pytest.raises(ValueError, match="at least one point"):
             monomial_error_series(V, (1, 1), np.zeros((0, 2)), 50)
+
+    @pytest.mark.parametrize("beta", [(1,), (1, 0, 0), (1, 1, 0)])
+    def test_beta_of_another_dimension_rejected(self, beta):
+        # (1,) and (1, 0, 0) returned zeros on courant, and (1, 1, 0)
+        # raised "every vector must have 3 entries"
+        with pytest.raises(ValueError, match="^multi-index dimension mismatch"):
+            monomial_error_series(preset("courant"), beta, sample_grid(2, 3), 50)
+
+    @pytest.mark.parametrize("beta", [(1, 0), (1, 1)])
+    def test_points_of_another_dimension_rejected(self, beta):
+        # below the critical order the series returned zeros, and at it
+        # numpy's matmul message leaked
+        with pytest.raises(ValueError, match="^points of dimension 3, not 2"):
+            monomial_error_series(preset("courant"), beta, np.zeros((2, 3)), 50)
 
     def test_no_scalar_transform_calls(self, monkeypatch):
         calls = []

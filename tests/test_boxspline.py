@@ -62,6 +62,12 @@ class TestSincFactor:
             # covered by the mpmath moment oracle below
             assert np.abs(sinc_factor_derivative(k, t) - fd).max() < 1e-7
 
+    # 2.5 and 3.0 raised TypeError from range, and True ran as order 1
+    @pytest.mark.parametrize("k", [2.5, 3.0, True])
+    def test_order_must_be_nonnegative_integer(self, k):
+        with pytest.raises(ValueError, match="^derivative order must be a nonnegative integer"):
+            sinc_factor_derivative(k, np.array([0.3]))
+
 
 class TestFourierTransform:
     def test_normalization(self):
@@ -86,6 +92,12 @@ class TestFourierTransform:
         a = fourier_transform(V, xi)
         b = fourier_transform(V, -xi)
         assert abs(a - np.conj(b)) < 1e-14
+
+    @pytest.mark.parametrize("xi", [np.zeros((2, 3)), np.zeros(3)], ids=["points", "point"])
+    def test_frequencies_of_another_dimension_rejected(self, xi):
+        # numpy's matmul message leaked
+        with pytest.raises(ValueError, match="^points of dimension 3, not 2"):
+            fourier_transform(preset("courant"), xi)
 
 
 class TestTransformDerivative:

@@ -155,6 +155,14 @@ class TestLbeta:
         path = write_cfg(tmp_path, "preset = haar\n")
         assert main(["lbeta", "--config", path]) == 2
 
+    def test_beta_of_another_dimension_rejected(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, "preset = courant\nbeta = [1, 0, 0]\ngrid = 3\n"
+                                   "series_radius = 50\n")
+        out = tmp_path / "lb.csv"
+        assert main(["lbeta", "--config", path, "--out", str(out)]) == 2
+        assert "error: multi-index dimension mismatch" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestProject:
     def test_summary_and_byte_stable_csv(self, tmp_path, capsys):

@@ -17,7 +17,7 @@ from boxproj import (BoxSplineEvaluator, DirectionSet, autocorrelation_table, hy
                      monomial_error_series, multi_indices, nonorthogonal_directions, preset,
                      transform_derivatives)
 from boxproj.bernoulli import TWO_PI_I, BernoulliSplineTerm, _class_weights, progression_sum
-from boxproj.checks import _doubled_autocorrelation, gram_symbol_range
+from boxproj.checks import _doubled_autocorrelation, _leibniz_transform_derivative, gram_symbol_range
 from boxproj.quadrature import box_cells, sample_grid
 from test_bernoulli import _reference_series
 
@@ -203,3 +203,38 @@ def test_class_weights_are_transform_derivatives_bitwise(V):
     if d == 2 and all(0 in v for v in V.vectors):
         # a tensor set: a critical beta off an axis has c = 0 on that class
         assert skipped["c = 0"] > 0
+
+
+LEIBNIZ_SETS = st.one_of(
+    st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)).filter(
+        lambda lmn: sum(lmn) <= 5).map(lambda lmn: three_direction(*lmn)),
+    st.tuples(st.integers(1, 2), st.integers(1, 2)).map(
+        lambda mm: preset(f"tensor({mm[0]},{mm[1]})")),
+    st.integers(1, 4).map(lambda n: preset(f"bspline({n})")),
+)
+
+
+@settings(derandomize=True, max_examples=13, deadline=None, database=None)
+@given(LEIBNIZ_SETS)
+@example(DirectionSet([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]))
+def test_batched_transform_derivatives_are_leibniz(V):
+    # every row of the radius-2 cube against the scalar product rule,
+    # within `transform_two_route`'s 1e-12: rows with more active
+    # directions than |beta| must be exact zeros, and rows with exactly
+    # |beta| take the closed form.  At the critical order + 1 the rows
+    # with fewer active directions run the batched route's own Leibniz
+    # expansion, so there Leibniz is compared with itself
+    d, k = V.dimension, V.margin + 1
+    rows = box_cells([-2] * d, [3] * d)
+    rows = rows[np.any(rows != 0, axis=1)]
+    active = (rows @ np.array(V.vectors).T != 0).sum(axis=1)
+    for order in (k, k + 1):
+        branch = active == k  # the closed form at k, Leibniz at k + 1
+        hit = False
+        for beta in multi_indices(d, order):
+            got = transform_derivatives(V, beta, rows)
+            want = np.array([_leibniz_transform_derivative(V, beta, row) for row in rows])
+            assert np.abs(got - want).max() <= 1e-12, beta
+            assert not got[active > order].any(), beta
+            hit |= bool(got[branch].any())
+        assert hit, order
