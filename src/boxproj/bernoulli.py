@@ -90,26 +90,26 @@ def _check_radius(radius) -> None:
     quadrature._check_integer("series radius", radius, 1)
 
 
-def progression_sum(t, ahead, behind):
-    """sum_k ahead[k-1] z^k + behind[k-1] z^-k over k = 1..K, z = exp(2 pi i t).
+def progression_sum(t, weights, sign):
+    """S + sign conj(S) for S = sum_k weights[k-1] z^k over k = 1..K, z =
+    exp(2 pi i t): the two progressions z^k and z^-k when the weight at -k
+    is sign (+1 or -1) times the conjugate of the weight at k.
 
     With B = ceil(sqrt K), Q = ceil(K / B) and k = qB + r + 1, z^k is
     coarse[q] fine[r] for the tables fine[r] = z^(r+1) and coarse[q] =
     z^(qB), each an exp of its exact phase.  With the weights zero-padded
-    to (Q, B) arrays W, the sum is sum_q coarse[q] (fine @ W.T)[q], and
-    z^-k takes the conjugate tables: B + Q ~ 2 sqrt K exponentials per
-    point instead of 2K, plus one matrix product.  Points are taken in
-    blocks whose fine table holds about SERIES_CHUNK entries.  K >= 1.
+    to a (Q, B) array W, S is sum_q coarse[q] (fine @ W.T)[q]: B + Q ~
+    2 sqrt K exponentials per point instead of K, plus one matrix product.
+    Points are taken in blocks whose fine table holds about SERIES_CHUNK
+    entries.  K >= 1.
     """
     t = np.asarray(t, dtype=float)
-    K = len(ahead)
+    K = len(weights)
     B = math.isqrt(K - 1) + 1
     Q = -(-K // B)
-    # conj(fine) @ behind = conj(fine @ conj(behind)): one product takes both halves
-    W = np.zeros((2, Q * B), dtype=complex)
-    W[0, :K] = ahead
-    W[1, :K] = np.conj(behind)
-    W = W.reshape(2 * Q, B).T
+    W = np.zeros(Q * B, dtype=complex)
+    W[:K] = weights
+    W = W.reshape(Q, B).T
     fine_k = np.arange(1, B + 1, dtype=float)
     coarse_k = np.arange(0, Q * B, B, dtype=float)
     out = np.empty(len(t), dtype=complex)
@@ -117,9 +117,8 @@ def progression_sum(t, ahead, behind):
     for start in range(0, len(t), step):
         tb = t[start:start + step, None]
         coarse = np.exp(TWO_PI_I * (tb * coarse_k))
-        halves = np.exp(TWO_PI_I * (tb * fine_k)) @ W
-        out[start:start + step] = (np.einsum("ij,ij->i", coarse, halves[:, :Q])
-                                   + np.conj(np.einsum("ij,ij->i", coarse, halves[:, Q:])))
+        s = np.einsum("ij,ij->i", coarse, np.exp(TWO_PI_I * (tb * fine_k)) @ W)
+        out[start:start + step] = s + sign * np.conj(s)
     return out
 
 
@@ -240,7 +239,7 @@ def monomial_error_series(V, beta, x, radius: int):
         weights = _class_weights(V, beta, cls, radius)
         if weights is not None:
             K = len(weights) // 2
-            acc += progression_sum(pts @ np.array(cls.alpha), weights[:K], weights[K:])
+            acc += progression_sum(pts @ np.array(cls.alpha), weights[:K], (-1) ** cls.degree)
     acc *= (1.0 / TWO_PI_I) ** beta.order
     return acc[0] if single else acc
 

@@ -302,7 +302,8 @@ def _term_series(term, x, radius: int):
     pts = np.atleast_2d(x)
     dots = pts @ np.array(term.hyperplane.alpha, dtype=float)
     coefs = 1.0 / (bernoulli.TWO_PI_I * np.arange(1, radius + 1)) ** term.degree
-    acc = bernoulli.progression_sum(dots, coefs, np.conj(coefs)) * float(term.scale)
+    # the weight at -k is conj(coefs), sign +1
+    acc = bernoulli.progression_sum(dots, coefs, 1) * float(term.scale)
     return acc[0] if single else acc
 
 

@@ -154,13 +154,14 @@ def _class_multiples(cls, radius):
 def _per_class_series(V, beta, x, radius):
     """The lattice series with each class's weights from one
     transform_derivatives call on its multiples, both signs at once, and a
-    class skipped when they all vanish."""
+    class skipped when they all vanish; the -k half enters through its
+    parity (-1)^degree, which the test below pins."""
     acc = np.zeros(len(x), dtype=complex)
     for cls in V.classes:
         weights = transform_derivatives(V, beta, _class_multiples(cls, radius))
         K = len(weights) // 2
         if weights.any():
-            acc += progression_sum(x @ np.array(cls.alpha), weights[:K], weights[K:])
+            acc += progression_sum(x @ np.array(cls.alpha), weights[:K], (-1) ** cls.degree)
     acc *= (1.0 / TWO_PI_I) ** beta.order
     return acc
 
@@ -172,7 +173,8 @@ def _per_class_series(V, beta, x, radius):
 @example(preset("tensor(2,2)"))
 def test_class_weights_are_transform_derivatives_bitwise(V):
     # every class's closed-form weights against the general route on the
-    # same rows, signed zeros included; a class without weights (K = 0,
+    # same rows, signed zeros included, and real with the -k half
+    # (-1)^degree times the +k half; a class without weights (K = 0,
     # beta below the critical order, c = 0) has only zeros there, and the
     # series equals the per-class transform_derivatives loop exactly
     d = V.dimension
@@ -193,6 +195,11 @@ def test_class_weights_are_transform_derivatives_bitwise(V):
                         assert got.dtype == want.dtype
                         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (
                             beta, cls.alpha, radius)
+                        # the parity progression_sum's half-sum relies on
+                        K = len(got) // 2
+                        assert not got.imag.any()
+                        assert np.array_equal(got.real[K:].view(np.uint64),
+                                              ((-1) ** cls.degree * got.real[:K]).view(np.uint64))
                 series = monomial_error_series(V, beta, x, radius)
                 assert np.array_equal(series, _per_class_series(V, beta, x, radius))
                 if order <= V.margin:
