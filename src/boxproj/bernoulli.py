@@ -96,12 +96,16 @@ def progression_sum(t, weights, sign):
     is sign (+1 or -1) times the conjugate of the weight at k.
 
     With B = ceil(sqrt K), Q = ceil(K / B) and k = qB + r + 1, z^k is
-    coarse[q] fine[r] for the tables fine[r] = z^(r+1) and coarse[q] =
-    z^(qB), each an exp of its exact phase.  With the weights zero-padded
-    to a (Q, B) array W, S is sum_q coarse[q] (fine @ W.T)[q]: B + Q ~
-    2 sqrt K exponentials per point instead of K, plus one matrix product.
-    Points are taken in blocks whose fine table holds about SERIES_CHUNK
-    entries.  K >= 1.
+    coarse[q] fine[r] for the tables fine[r] = z^(r+1), the running
+    product of z, and coarse[q] = z^(qB), the running product of z^B =
+    fine[B-1] from coarse[0] = 1.  With the weights zero-padded to a (Q, B)
+    array W, S is sum_q coarse[q] (fine @ W.T)[q]: one exponential per
+    point instead of K, plus one matrix product.  z^k inherits k times
+    the phase rounding of z, so z is taken at t minus its nearest integer
+    (an exact difference), whose phase 2 pi (t - round t) rounds by at most
+    about 2 eps whatever |t|; the q + r products behind z^k add about
+    2 sqrt(K) roundings.  Points are taken in blocks whose fine table holds
+    about SERIES_CHUNK entries.  K >= 1.
     """
     t = np.asarray(t, dtype=float)
     K = len(weights)
@@ -110,14 +114,17 @@ def progression_sum(t, weights, sign):
     W = np.zeros(Q * B, dtype=complex)
     W[:K] = weights
     W = W.reshape(Q, B).T
-    fine_k = np.arange(1, B + 1, dtype=float)
-    coarse_k = np.arange(0, Q * B, B, dtype=float)
     out = np.empty(len(t), dtype=complex)
     step = max(1, SERIES_CHUNK // B)
     for start in range(0, len(t), step):
         tb = t[start:start + step, None]
-        coarse = np.exp(TWO_PI_I * (tb * coarse_k))
-        s = np.einsum("ij,ij->i", coarse, np.exp(TWO_PI_I * (tb * fine_k)) @ W)
+        z = np.exp(TWO_PI_I * (tb - np.rint(tb)))
+        n = len(z)
+        fine = np.cumprod(np.broadcast_to(z, (n, B)), axis=1)
+        coarse = np.empty((n, Q), dtype=complex)
+        coarse[:, 0] = 1
+        np.cumprod(np.broadcast_to(fine[:, B - 1:], (n, Q - 1)), axis=1, out=coarse[:, 1:])
+        s = np.einsum("ij,ij->i", coarse, fine @ W)
         out[start:start + step] = s + sign * np.conj(s)
     return out
 

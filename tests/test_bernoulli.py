@@ -5,6 +5,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -293,6 +294,29 @@ def _reference_series(V, beta, x, radius, mode):
     return acc * (1.0 / (2j * np.pi)) ** beta.order
 
 
+def _exact_progression_sum(t, weights, sign):
+    """progression_sum's S + sign conj(S) for each t a multiple of 1/64.
+
+    z^k is then the root of unity exp(2 pi i j / 64), j = 64 t k mod 64,
+    with t k exact; the weights of each j are summed by math.fsum and the
+    64 sums combined at 30 digits, so the error is fsum's roundings, about
+    eps sum |w|."""
+    m = np.rint(np.asarray(t) * 64).astype(np.int64)
+    assert np.array_equal(m / 64, t)
+    k = np.arange(1, len(weights) + 1)
+    out = []
+    with mpmath.workdps(30):
+        roots = [mpmath.expjpi(mpmath.mpf(j) / 32) for j in range(64)]
+        for mi in m:
+            j = (mi * k) % 64
+            S = mpmath.mpc(0)
+            for jj in np.unique(j):
+                sel = weights[j == jj]
+                S += mpmath.mpc(math.fsum(sel.real), math.fsum(sel.imag)) * roots[jj]
+            out.append(complex(S + sign * mpmath.conj(S)))
+    return np.array(out)
+
+
 def _term_series(term, x, radius: int):
     """Partial Fourier sum of a ridge term over multiples k alpha with
     |k| <= radius, by the library's progression sum."""
@@ -362,20 +386,36 @@ class TestBatchedSeries:
             exp_sizes.clear()
             got = monomial_error_series(V, beta, x, 1)
             assert np.abs(got - want).max() < 1e-15
-            # B = Q = 1: one fine and one coarse table per class within the radius
-            assert sum(exp_sizes) <= 2 * len(x) * (len(V.classes) - 1)
+            # one exponential per point and class within the radius
+            assert sum(exp_sizes) <= len(x) * (len(V.classes) - 1)
 
     @pytest.mark.parametrize("name, beta", [("courant", (1, 1)), ("courant2", (2, 2))])
     def test_lines_exponentials_grow_like_root_radius(self, exp_sizes, name, beta):
-        # 2 npts (B + Q) per class, B = ceil(sqrt K) = 45 and Q = ceil(K / B) = 45
-        # at K = 2000, where one exponential per frequency is 2 npts K
+        # one exponential per point and class, z = exp(2 pi i alpha.x); its
+        # powers up to K = 2000 are running products, where one exponential
+        # per frequency is 2 npts K
         V = preset(name)
         x = sample_grid(2, 9)
-        radius = 2000
-        B = math.isqrt(radius - 1) + 1
-        Q = -(-radius // B)
-        monomial_error_series(V, beta, x, radius)
-        assert 0 < sum(exp_sizes) <= 2 * len(x) * (B + Q) * len(V.classes)
+        monomial_error_series(V, beta, x, 2000)
+        assert 0 < sum(exp_sizes) <= len(x) * len(V.classes)
+
+    @pytest.mark.parametrize("K", [2000, 10000])
+    def test_progression_sum_against_exact_phases(self, K):
+        # the running-product tables against exact roots of unity, in units
+        # of sum |w|; with z taken at t mod 1 the worst case measured
+        # 2.2e-15 (K = 10000, 1/k^2, t = -20), against 1.0e-11 for z =
+        # exp(2 pi i t) at integer t, where the rounding of 2 pi t enters
+        # z^k k times over and adds up
+        t = np.array([-20, -19.984375, -13.015625, -2.5, -0.984375, -0.015625, 0.015625,
+                      0.328125, 0.5, 1.234375, 3, 7.75, 12.453125, 19.984375, 20])
+        k = np.arange(1, K + 1, dtype=float)
+        for degree in (1, 2):
+            for weights in (1.0 / k ** degree + 0j, 1j / k ** degree):
+                for sign in (1, -1):
+                    want = _exact_progression_sum(t, weights, sign)
+                    got = bernoulli.progression_sum(t, weights, sign)
+                    assert np.abs(got - want).max() <= 4.4e-15 * np.abs(weights).sum(), (
+                        degree, weights[0], sign)
 
     @pytest.mark.parametrize("radius", [-5, 0, 2.5, 3.0, True, "10"])
     def test_radius_must_be_positive_integer(self, radius):
