@@ -224,12 +224,12 @@ def monomial_error_series(V, beta, x, radius: int):
     (`_class_weights`), with no call to `transform_derivatives`, which stays
     the reference they are checked against.  The two progressions z^k and
     z^-k of each class, z = exp(2 pi i alpha.x), are summed by
-    `progression_sum` at about 2 sqrt(K) exponentials per point for K
-    multiples; a class whose weights all vanish is skipped.  radius must be
-    a positive integer, x must hold at least one point of V's dimension,
-    and a beta of another dimension or |beta| above margin + 1 raises
-    ValueError.  Returns complex values; symmetric
-    truncation makes the imaginary part vanish up to roundoff.
+    `progression_sum` from the k > 0 weights and their parity (-1)^degree,
+    at one exponential per point for K multiples; a class whose weights
+    all vanish is skipped.  radius must be a positive integer, x must hold
+    at least one point of V's dimension, and a beta of another dimension
+    or |beta| above margin + 1 raises ValueError.  Returns complex values;
+    symmetric truncation makes the imaginary part vanish up to roundoff.
     """
     _check_radius(radius)
     V = _coerce(V)
@@ -262,7 +262,9 @@ def _class_weights(V, beta: MultiIndex, cls: HyperplaneClass, radius: int):
     is skipped when K = 0, when |beta| != |U| or when c = 0; otherwise its
     weights are `closed_form_weights` of c and the dots k (alpha.v) over the
     members in ascending V order, bit for bit `transform_derivatives` on
-    the same rows.
+    the same rows.  They are real, and since 1.0 / -d == -(1.0 / d) the -k
+    half is (-1)^|U| times the k half bit for bit, the parity
+    `progression_sum` takes in place of that half.
     """
     K = radius // max(map(abs, cls.alpha))
     if K == 0 or beta.order != cls.degree:

@@ -38,10 +38,11 @@ def _check_integer(name: str, value, minimum: int) -> None:
 
 def _as_points(x, dim: int):
     """(pts, single): x as float points of dimension dim, at least 2-D (no
-    copy of a float array), and whether it was one point; ValueError when
-    its last axis is not dim long."""
+    copy of a float array), and whether it was one point (a vector, or a
+    scalar, which is a point of dimension 1); ValueError when its last axis
+    is not dim long."""
     pts = np.asarray(x, dtype=float)
-    single = pts.ndim == 1
+    single = pts.ndim < 2
     pts = np.atleast_2d(pts)
     if pts.shape[-1] != dim:
         raise ValueError(f"points of dimension {pts.shape[-1]}, not {dim}")

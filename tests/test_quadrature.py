@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from boxproj import BoxSplineEvaluator, DirectionSet, preset, quadrature
+from boxproj import BoxSplineEvaluator, DirectionSet, error_expansion, monomial_error_series, preset, quadrature
 from boxproj.asymptotics import _ridge_cell_table
 from boxproj.bernoulli import INNER_ORDER
+from boxproj.boxspline import fourier_transform
 from boxproj.projection import RULE_ORDER
 from boxproj.quadrature import (
     CutFamily,
@@ -18,6 +19,7 @@ from boxproj.quadrature import (
     tile_points,
     tile_rule,
 )
+from boxproj.testfunctions import gaussian
 
 
 THREE_D = DirectionSet(((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)))
@@ -262,3 +264,33 @@ class TestBoxBatches:
             X = pts[s:s + step]
             want = want + np.dot(np.tile(wts, len(X) // len(nodes)), f(X))
         assert got == want
+
+
+# the entry points that read points through _as_points, on a set of dimension d
+POINT_CALLS = {
+    "evaluate": lambda V, x: error_expansion(V, (1,) * V.dimension).evaluate(x),
+    "series": lambda V, x: monomial_error_series(V, (1,) * V.dimension, x, 50),
+    "fourier_transform": fourier_transform,
+    "gaussian": lambda V, x: gaussian(V.dimension).value(x),
+}
+
+
+class TestAsPoints:
+    @pytest.mark.parametrize("call", list(POINT_CALLS))
+    def test_scalar_is_one_point_in_1d(self, call):
+        # a scalar on haar returned a length-1 array, where [0.3] gives a scalar
+        f, V = POINT_CALLS[call], preset("haar")
+        one = f(V, 0.3)
+        assert np.ndim(one) == 0 and one == f(V, [0.3])
+
+    @pytest.mark.parametrize("call", list(POINT_CALLS))
+    def test_scalar_rejected_in_2d(self, call):
+        with pytest.raises(ValueError, match="^points of dimension 1, not 2"):
+            POINT_CALLS[call](preset("courant"), 0.3)
+
+    def test_float_points_not_copied(self):
+        x = np.zeros((3, 2))
+        pts, single = quadrature._as_points(x, 2)
+        assert pts is x and not single
+        pts, single = quadrature._as_points(x[0], 2)
+        assert np.shares_memory(pts, x) and single
