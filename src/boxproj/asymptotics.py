@@ -17,7 +17,7 @@ import numpy as np
 
 from .lattice import (DirectionSet, UnsupportedDimensionError, _as_int_vectors, _coerce,
                       linear_form_product, multi_indices, product_derivative)
-from .bernoulli import INNER_ORDER, BernoulliSplineTerm, bernoulli_l2_norm_sq, ridge_cut
+from .bernoulli import INNER_ORDER, _ridge_terms, bernoulli_l2_norm_sq, ridge_cut
 from .projection import RULE_ORDER, _check_exponent, build_model, error_norm, project
 from . import quadrature
 
@@ -94,27 +94,38 @@ def _derivative_gram(f, vector_lists) -> np.ndarray:
     The product over the axes is the Kronecker product K of the M_j,
     indexed by beta in C order, and all pairs (U, V) are one product
     C K C^T.  That is O(sum_j N_j k^2) work for N_j nodes along axis j and
-    k the longest list, plus O(c (k+1)^(2d)) for the product; the
-    pointwise route makes O(N_t n c) exp and polyval passes, n the number
-    of multi-indices of order k, on the N_t = prod_j N_j outer nodes.  The
-    two agree up to rounding.
+    k the longest list, plus O(c (k+1)^(2d)) for the product, C being
+    `_form_coefficients`, built once per key; the pointwise route makes
+    O(N_t n c) exp and polyval passes, n the number of multi-indices of
+    order k, on the N_t = prod_j N_j outer nodes.  The two agree up to
+    rounding.
     """
     if not hasattr(f, "factor_derivative"):
         D, wts = _class_derivatives(f, vector_lists)
         return (D.T * wts) @ D
     lo, hi = _outer_cells(f)
     order = max(len(vs) for vs in vector_lists)
-    shape = (order + 1,) * len(lo)
     x, w = quadrature.unit_nodes(OUTER_ORDER)
     moments = np.ones((1, 1))
     for j, (a, b) in enumerate(zip(lo, hi)):
         T = f.factor_derivative(j, order, np.add.outer(np.arange(a, b, dtype=float), x).ravel())
         moments = np.kron(moments, (T * np.tile(w, b - a)) @ T.T)
-    C = np.zeros((len(vector_lists), moments.shape[0]))
+    C = _form_coefficients(tuple(vector_lists), order, len(lo))
+    return C @ moments @ C.T
+
+
+@lru_cache(maxsize=None)
+def _form_coefficients(vector_lists, order: int, dim: int) -> np.ndarray:
+    """C[U, beta]: the coefficient of x^beta in prod_{v in U} (x . v), one
+    row per vector list U and one column per beta in (order + 1)^dim, C
+    order.  Built once per process for each key, and read-only."""
+    shape = (order + 1,) * dim
+    C = np.zeros((len(vector_lists), (order + 1) ** dim))
     for row, vs in zip(C, vector_lists):
         for beta, coef in linear_form_product(vs).items():
             row[np.ravel_multi_index(beta, shape)] = coef
-    return C @ moments @ C.T
+    C.flags.writeable = False
+    return C
 
 
 def sobolev_product_norm(f, vectors, p: float = 2.0) -> float:
@@ -151,7 +162,7 @@ def _ridge_cell_table(V: DirectionSet, order: int):
     `terms` is a tuple and B and the weights are read-only.
     """
     d = V.dimension
-    terms = tuple(BernoulliSplineTerm(cls) for cls in V.classes)
+    terms = _ridge_terms(V)
     cuts = [ridge_cut(t.hyperplane.alpha, t.degree) for t in terms]
     pts, wts = quadrature.cell_rule([0.0] * d, [1.0] * d, cuts, order)
     B = np.stack([t.evaluate(pts) for t in terms], axis=-1)

@@ -12,11 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .lattice import HyperplaneClass, MultiIndex, _coerce, _dot, product_derivative
+from .lattice import DirectionSet, HyperplaneClass, MultiIndex, _coerce, _dot, _product_derivative
 from .boxspline import closed_form_weights
 from . import quadrature
 
@@ -47,6 +47,12 @@ def bernoulli_poly_coeffs(k: int) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
+@lru_cache(maxsize=None)
+def _float_poly_coeffs(k: int) -> tuple[float, ...]:
+    """`bernoulli_poly_coeffs(k)` rounded to floats, once per degree."""
+    return tuple(float(c) for c in bernoulli_poly_coeffs(k))
+
+
 def bernoulli_periodic(k: int, t):
     """Periodized Bernoulli polynomial of degree k, normalized by -1/k!.
 
@@ -58,9 +64,8 @@ def bernoulli_periodic(k: int, t):
     quadrature._check_integer("degree", k, 1)
     t = np.asarray(t, dtype=float)
     u = np.mod(t, 1.0)
-    coeffs = [float(c) for c in bernoulli_poly_coeffs(k)]
     acc = np.zeros_like(u)
-    for c in reversed(coeffs):
+    for c in reversed(_float_poly_coeffs(k)):
         acc = acc * u + c
     val = -acc / math.factorial(k)
     if k == 1:
@@ -80,8 +85,7 @@ def bernoulli_l2_norm_sq(k: int) -> Fraction:
 @lru_cache(maxsize=None)
 def bernoulli_interior_roots(k: int) -> tuple[float, ...]:
     """Roots of the degree-k Bernoulli polynomial strictly inside (0, 1)."""
-    coeffs = [float(c) for c in bernoulli_poly_coeffs(k)]
-    roots = np.roots(list(reversed(coeffs)))
+    roots = np.roots(list(reversed(_float_poly_coeffs(k))))
     out = [float(r.real) for r in roots if abs(r.imag) < 1e-10 and 1e-9 < r.real < 1 - 1e-9]
     return tuple(sorted(out))
 
@@ -138,7 +142,8 @@ class BernoulliSplineTerm:
     """Ridge function: scaled periodized Bernoulli polynomial of a pairing.
 
     Value at x is B_deg(alpha.x) divided by the product of the pairings
-    alpha.v over the class members.
+    alpha.v over the class members.  The float normal and the float scale
+    are taken once per term.
     """
 
     hyperplane: HyperplaneClass
@@ -152,12 +157,28 @@ class BernoulliSplineTerm:
     def scale(self) -> Fraction:
         return self.hyperplane.scale
 
+    @cached_property
+    def _normal(self) -> np.ndarray:
+        normal = np.array(self.hyperplane.alpha, dtype=float)
+        normal.flags.writeable = False
+        return normal
+
+    @cached_property
+    def _float_scale(self) -> float:
+        return float(self.scale)
+
     def evaluate(self, x):
         x = np.asarray(x, dtype=float)
-        dots = x @ np.array(self.hyperplane.alpha, dtype=float) if x.ndim > 1 else float(
-            np.dot(x, np.array(self.hyperplane.alpha, dtype=float))
-        )
-        return bernoulli_periodic(self.degree, dots) * float(self.scale)
+        dots = x @ self._normal if x.ndim > 1 else float(np.dot(x, self._normal))
+        return bernoulli_periodic(self.degree, dots) * self._float_scale
+
+
+@lru_cache(maxsize=None)
+def _ridge_terms(V: DirectionSet) -> tuple[BernoulliSplineTerm, ...]:
+    """One ridge term per hyperplane class of V, in class order, built once
+    per process for every set equal to V, so that each term's float normal
+    and scale are taken once."""
+    return tuple(BernoulliSplineTerm(cls) for cls in V.classes)
 
 
 def ridge_cut(alpha, k: int) -> quadrature.CutFamily:
@@ -203,10 +224,10 @@ def error_expansion(V, beta) -> ErrorFunctionExpansion:
     if beta.order < k:
         return ErrorFunctionExpansion(beta=beta, terms=())
     terms = []
-    for cls in V.classes:
-        coef = product_derivative(beta, cls.members)
+    for term in _ridge_terms(V):
+        coef = _product_derivative(beta, term.hyperplane.members)
         if coef != 0:
-            terms.append((BernoulliSplineTerm(cls), coef))
+            terms.append((term, coef))
     return ErrorFunctionExpansion(beta=beta, terms=tuple(terms))
 
 
@@ -222,14 +243,19 @@ def monomial_error_series(V, beta, x, radius: int):
     exactly 0).  At k alpha the non-orthogonal directions are the class's
     members, so each class's weights come from its closed form
     (`_class_weights`), with no call to `transform_derivatives`, which stays
-    the reference they are checked against.  The two progressions z^k and
-    z^-k of each class, z = exp(2 pi i alpha.x), are summed by
-    `progression_sum` from the k > 0 weights and their parity (-1)^degree,
-    at one exponential per point for K multiples; a class whose weights
-    all vanish is skipped.  radius must be a positive integer, x must hold
-    at least one point of V's dimension, and a beta of another dimension
-    or |beta| above margin + 1 raises ValueError.  Returns complex values;
-    symmetric truncation makes the imaginary part vanish up to roundoff.
+    the reference they are checked against.  The weights are built for
+    k = 1..K only: the two progressions z^k and z^-k of each class, z =
+    exp(2 pi i alpha.x), are summed by `progression_sum` from those and
+    their parity (-1)^degree, at one exponential per point for K multiples,
+    and the -k half is never formed; a class whose weights all vanish is
+    skipped.  A point's value may differ in the last bits from its value
+    among other points: `progression_sum`'s `fine @ W` takes another BLAS
+    path for one row than for many (a relative move of at most 5e-16 was
+    measured over the critical betas of the smooth presets).  radius must
+    be a positive integer, x must hold at least one point of V's
+    dimension, and a beta of another dimension or |beta| above margin + 1
+    raises ValueError.  Returns complex values; symmetric truncation makes
+    the imaginary part vanish up to roundoff.
     """
     _check_radius(radius)
     V = _coerce(V)
@@ -245,16 +271,15 @@ def monomial_error_series(V, beta, x, radius: int):
     for cls in V.classes:
         weights = _class_weights(V, beta, cls, radius)
         if weights is not None:
-            K = len(weights) // 2
-            acc += progression_sum(pts @ np.array(cls.alpha), weights[:K], (-1) ** cls.degree)
+            acc += progression_sum(pts @ np.array(cls.alpha), weights, (-1) ** cls.degree)
     acc *= (1.0 / TWO_PI_I) ** beta.order
     return acc[0] if single else acc
 
 
 def _class_weights(V, beta: MultiIndex, cls: HyperplaneClass, radius: int):
     """D^beta transform at the multiples k alpha of the class normal, k = 1..K
-    then -1..-K with K = radius // max|alpha_i|, as a complex array; None
-    when they all vanish.
+    with K = radius // max|alpha_i|, as a complex array; None when they all
+    vanish.
 
     At k alpha the non-orthogonal directions are the class members U, so
     the weight is c / prod_{v in U} (k alpha.v), c = product_derivative(beta,
@@ -262,17 +287,18 @@ def _class_weights(V, beta: MultiIndex, cls: HyperplaneClass, radius: int):
     is skipped when K = 0, when |beta| != |U| or when c = 0; otherwise its
     weights are `closed_form_weights` of c and the dots k (alpha.v) over the
     members in ascending V order, bit for bit `transform_derivatives` on
-    the same rows.  They are real, and since 1.0 / -d == -(1.0 / d) the -k
-    half is (-1)^|U| times the k half bit for bit, the parity
-    `progression_sum` takes in place of that half.
+    the same rows.  They are real, and since 1.0 / -d == -(1.0 / d) the
+    weights at -1..-K are (-1)^|U| times these bit for bit: that parity is
+    what `progression_sum` takes in place of the -k half, and the checks
+    (`checks.series_weights` and the property tests) rebuild that half
+    from it as (-1)^|U| times the real part, with +0 imaginary parts.
     """
     K = radius // max(map(abs, cls.alpha))
     if K == 0 or beta.order != cls.degree:
         return None
-    c = product_derivative(beta, cls.members)
+    c = _product_derivative(beta, cls.members)
     if c == 0:
         return None
-    k = np.arange(1, K + 1)
-    ks = np.concatenate([k, -k])
+    ks = np.arange(1, K + 1)
     dots = (ks * _dot(cls.alpha, V[i]) for i in cls.member_indices)
-    return closed_form_weights(c, 2 * K, dots).astype(complex)
+    return closed_form_weights(c, K, dots).astype(complex)

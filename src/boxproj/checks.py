@@ -298,6 +298,8 @@ def run_battery(perturb_gram: float = 0.0) -> list[CheckResult]:
                 if got is None:
                     bad += np.count_nonzero(want)
                 else:
+                    # the k > 0 half, then the -k half from its parity
+                    got = np.concatenate([got, (-1) ** cls.degree * got.real])
                     bad += np.count_nonzero(got.view(np.uint64) != want.view(np.uint64))
     out.append(_check("series_weights", bad, 0,
                       "bitwise mismatches of the closed-form class weights, radius 300"))

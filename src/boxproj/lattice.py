@@ -305,8 +305,9 @@ class HyperplaneClass:
     def degree(self) -> int:
         return len(self.members)
 
-    @property
+    @cached_property
     def scale(self) -> Fraction:
+        """prod 1 / (alpha.v) over the members, exact, computed once per class."""
         out = Fraction(1)
         for q in self.denominators:
             out /= q
@@ -391,4 +392,7 @@ def product_derivative(beta, vectors) -> int:
 
 @lru_cache(maxsize=None)
 def _product_derivative(beta: MultiIndex, vecs: tuple[tuple[int, ...], ...]) -> int:
+    """`product_derivative` without its entry checks, for callers whose
+    beta and integer vector tuples are already valid, such as a
+    hyperplane class's members."""
     return beta.factorial * linear_form_product(vecs).get(beta.exponents, 0)

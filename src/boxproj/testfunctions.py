@@ -230,43 +230,27 @@ class Monomial(TestFunction):
     def __init__(self, exponents):
         self.exponents = MultiIndex.of(exponents)
         super().__init__(len(self.exponents))
+        # the (coefficient, axis, power) steps of `value`: its positive
+        # exponents, each with coefficient 1
+        self._value_steps = tuple((1, j, e) for j, e in enumerate(self.exponents) if e)
+
+    def value(self, x):
+        """x^beta: `derivative` of order 0 bit for bit, from the steps kept
+        at construction, without its multi-index check and coefficients."""
+        pts, single = quadrature._as_points(x, self.dim)
+        out = _column_product(pts, self._value_steps)
+        return float(out[0]) if single else out
 
     def derivative(self, beta, x):
-        """(perm(e_j, b_j) x_j^(e_j - b_j)) multiplied over the axes j.
-
-        A factor of 1 is skipped, which is exact: a zero remaining
-        exponent costs nothing, where pow(x, 0) would call libm on every
-        point.  Exponent 1 is the column and 2 is x * x, both bitwise what
-        pow gives; k >= 3 is the left-to-right product of k columns, one
-        rounding per product, within k - 2 ulp of np.power and far
-        cheaper than its libm call.  A leading exponent-1 column is read in
-        place, not copied, and the first product with it is a new array;
-        only a result that is that column alone is copied.
-        """
+        """(perm(e_j, b_j) x_j^(e_j - b_j)) multiplied over the axes j, by
+        `_column_product`."""
         beta = self._index(beta)
         pts, single = quadrature._as_points(x, self.dim)
         if any(bj > ej for ej, bj in zip(self.exponents, beta)):
             out = np.zeros(len(pts))
         else:
-            out, borrowed = None, False  # borrowed: out is a column of pts
-            for j, (ej, bj) in enumerate(zip(self.exponents, beta)):
-                coef = math.perm(ej, bj)
-                if coef != 1:
-                    out = np.full(len(pts), float(coef)) if out is None else out * coef
-                    borrowed = False
-                k, col = ej - bj, pts[:, j]
-                if k:
-                    factor = col if k == 1 else _power(col, k)
-                    if out is None:
-                        out, borrowed = factor, k == 1
-                    elif borrowed:
-                        out, borrowed = out * factor, False
-                    else:
-                        out *= factor
-            if out is None:
-                out = np.ones(len(pts))
-            elif borrowed:
-                out = out.copy()
+            out = _column_product(pts, [(math.perm(ej, bj), j, ej - bj)
+                                        for j, (ej, bj) in enumerate(zip(self.exponents, beta))])
         return float(out[0]) if single else out
 
     def factor(self, axis: int, t):
@@ -283,6 +267,38 @@ class Monomial(TestFunction):
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _column_product(pts, steps):
+    """The product of coef * pts[:, j]^k over the (coef, j, k) steps, left
+    to right, in a new array.
+
+    A factor of 1 is skipped, which is exact: a zero power costs nothing,
+    where pow(x, 0) would call libm on every point.  Power 1 is the column
+    and 2 is x * x, both bitwise what pow gives; k >= 3 is the
+    left-to-right product of k columns, one rounding per product, within
+    k - 2 ulp of np.power and far cheaper than its libm call.  A leading
+    power-1 column is read in place, not copied, and the first product
+    with it is a new array; only a result that is that column alone is
+    copied.
+    """
+    out, borrowed = None, False  # borrowed: out is a column of pts
+    for coef, j, k in steps:
+        if coef != 1:
+            out = np.full(len(pts), float(coef)) if out is None else out * coef
+            borrowed = False
+        if k:
+            col = pts[:, j]
+            factor = col if k == 1 else _power(col, k)
+            if out is None:
+                out, borrowed = factor, k == 1
+            elif borrowed:
+                out, borrowed = out * factor, False
+            else:
+                out *= factor
+    if out is None:
+        return np.ones(len(pts))
+    return out.copy() if borrowed else out
 
 
 def _power(col, k: int):

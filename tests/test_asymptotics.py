@@ -23,6 +23,7 @@ from boxproj import quadrature
 from boxproj.asymptotics import (
     OUTER_ORDER,
     _extrapolate,
+    _form_coefficients,
     _outer_rule,
     _ridge_cell_table,
     _ridge_gram,
@@ -30,7 +31,7 @@ from boxproj.asymptotics import (
 )
 from boxproj.bernoulli import BernoulliSplineTerm, bernoulli_interior_roots, bernoulli_l2_norm_sq
 from boxproj.checks import _nested_directional_derivative
-from boxproj.lattice import hyperplane_classes
+from boxproj.lattice import hyperplane_classes, linear_form_product
 from boxproj.testfunctions import bump, gaussian
 
 
@@ -319,6 +320,33 @@ class TestRidgeCellTable:
         error_constant_l2(g, V)
         assert _ridge_gram.cache_info().misses == 1
 
+
+    def test_form_coefficients_are_kept_read_only(self):
+        members = tuple(cls.members for cls in preset("courant2").classes)
+        C = _form_coefficients(members, 4, 2)
+        assert _form_coefficients(tuple(list(members)), 4, 2) is C
+        with pytest.raises(ValueError):
+            C[0, 0] = 1.0
+        # row U holds the coefficients of prod_{v in U} (x . v), beta in C order
+        for row, vs in zip(C, members):
+            want = np.zeros(25)
+            for beta, coef in linear_form_product(vs).items():
+                want[5 * beta[0] + beta[1]] = coef
+            assert np.array_equal(row, want)
+
+    @pytest.mark.parametrize("f", [gaussian, bump], ids=["gaussian", "bump"])
+    def test_p2_constants_repeat_bitwise(self, f):
+        # a call that builds the kept coefficient matrix and one that
+        # reuses it give the same bits, at p = 2 and in closed form
+        for V in [preset(name) for name in GRAM_PRESETS] + [SET_3D]:
+            g = f(V.dimension, 1.1)
+            runs = []
+            for _ in range(2):
+                _form_coefficients.cache_clear()
+                fresh = DirectionSet(V.vectors)
+                runs += [(error_constant(g, fresh, 2.0), error_constant_l2(g, fresh))
+                         for _ in range(2)]
+            assert all(np.array(run).tobytes() == np.array(runs[0]).tobytes() for run in runs), V
 
 BAD_EXPONENTS = [0.0, 0.5, -1.0, np.inf, np.nan]
 

@@ -16,6 +16,7 @@ from boxproj import (
     boxspline,
     error_expansion,
     hyperplane_classes,
+    lattice,
     monomial_error_series,
     multi_indices,
     preset,
@@ -258,6 +259,41 @@ class TestMonomialErrorSeries:
         scale = np.abs(want).max()
         assert np.abs(got.real - want).max() <= 1e-14 * scale
         assert np.abs(got.imag).max() <= 1e-14 * scale
+
+    SMOOTH = ("bspline(2)", "bspline(3)", "tensor(2,2)", "courant", "courant2")
+
+    @pytest.mark.parametrize("radius", [50, 2000])
+    def test_single_point_agrees_with_its_batch(self, radius):
+        # one point's fine @ W is a vector product, another BLAS path than
+        # a batch's matrix product, so the two may differ in the last bits:
+        # measured at most 5.0e-16 of the batch's largest value
+        for name in self.SMOOTH:
+            V = preset(name)
+            x = sample_grid(V.dimension, 5)
+            for beta in multi_indices(V.dimension, V.margin + 1):
+                batch = monomial_error_series(V, beta, x, radius)
+                bound = 2e-15 * np.abs(batch).max()
+                for point, want in zip(x, batch):
+                    got = monomial_error_series(V, beta, point, radius)
+                    assert np.ndim(got) == 0
+                    assert abs(got - want) <= bound, (name, beta.exponents, point)
+
+    def test_repeat_calls_are_bitwise_equal(self):
+        # the constants kept per set and per class (ridge terms with their
+        # float normal and scale, product derivatives) change no bit between
+        # a call that builds them and one that reuses them
+        for V in [preset(name) for name in self.SMOOTH] + [THREE_D]:
+            x = sample_grid(V.dimension, 5)
+            runs = []
+            for _ in range(2):
+                bernoulli._ridge_terms.cache_clear()
+                lattice._product_derivative.cache_clear()
+                fresh = DirectionSet(V.vectors)
+                for _ in range(2):
+                    runs.append([a.tobytes() for beta in multi_indices(V.dimension, V.margin + 1)
+                                 for a in (error_expansion(fresh, beta).evaluate(x),
+                                           monomial_error_series(fresh, beta, x, 300))])
+            assert all(run == runs[0] for run in runs), V
 
     def test_temporaries_stay_small(self):
         # weighing one class at a time keeps a radius-2000 courant2 call's

@@ -1,4 +1,5 @@
-"""Importing boxproj, and projecting with it, loads no scipy module."""
+"""Importing boxproj, projecting with it, and running its lattice series and
+limit constants load no scipy module."""
 
 import os
 import subprocess
@@ -11,16 +12,28 @@ SCRIPT = """
 import sys
 import numpy as np
 import boxproj, boxproj.cli
-from boxproj import build_model, error_norm, gaussian, preset, project
+from boxproj import (build_model, error_constant, error_constant_l2, error_expansion, error_norm,
+                     gaussian, monomial_error_series, preset, project)
+from boxproj.quadrature import sample_grid
 
 def scipy_modules():
     return sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy."))
 
 f = gaussian(2, 1.0)
-model = build_model(preset("courant"), 1 / 4, f)
+V = preset("courant")
+model = build_model(V, 1 / 4, f)
 coeffs = project(model, f)
 error_norm(f, model, coeffs, 2.0)
 assert coeffs.iterations > 0
+
+# the closed form against the lattice series, and the p = 2 constant by
+# its two routes
+x = sample_grid(2, 5)
+closed = error_expansion(V, (1, 1)).evaluate(x)
+series = monomial_error_series(V, (1, 1), x, 2000)
+assert np.abs(closed - series.real).max() < 1e-6
+quad, exact = error_constant(f, V, 2.0), error_constant_l2(f, V)
+assert abs(quad - exact) <= 1e-12 * exact
 assert scipy_modules() == [], scipy_modules()
 
 # matrix() imports scipy.sparse on its first call and still returns the

@@ -324,6 +324,15 @@ class TestHyperplaneClasses:
                     assert sum(a * c for a, c in zip(cls.alpha, v)) == den
                     assert den != 0
 
+    def test_scale_is_the_exact_product_kept_per_class(self):
+        sets = [preset(name) for name in UNIMODULAR + ["bspline(6)", "tensor(3,1)"]]
+        sets.append(DirectionSet([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]))
+        for V in sets:
+            for cls in hyperplane_classes(V):
+                want = math.prod(Fraction(1, q) for q in cls.denominators)
+                assert type(cls.scale) is Fraction and cls.scale == want, cls
+                assert cls.scale is cls.scale
+
     def test_normals_primitive_and_oriented(self):
         for name in UNIMODULAR:
             for cls in hyperplane_classes(preset(name)):

@@ -173,10 +173,12 @@ def _per_class_series(V, beta, x, radius):
 @example(preset("tensor(2,2)"))
 def test_class_weights_are_transform_derivatives_bitwise(V):
     # every class's closed-form weights against the general route on the
-    # same rows, signed zeros included, and real with the -k half
-    # (-1)^degree times the +k half; a class without weights (K = 0,
-    # beta below the critical order, c = 0) has only zeros there, and the
-    # series equals the per-class transform_derivatives loop exactly
+    # same rows, signed zeros included: the k > 0 half as built, real, and
+    # the -k half rebuilt from the parity progression_sum takes,
+    # (-1)^degree times the real part with +0 imaginary parts; a class
+    # without weights (K = 0, beta below the critical order, c = 0) has
+    # only zeros there, and the series equals the per-class
+    # transform_derivatives loop exactly
     d = V.dimension
     x = sample_grid(d, 3 if d < 3 else 2)
     skipped = {"K = 0": 0, "below": 0, "c = 0": 0}
@@ -192,14 +194,11 @@ def test_class_weights_are_transform_derivatives_bitwise(V):
                                   "below" if order <= V.margin else "c = 0")
                         skipped[reason] += 1
                     else:
-                        assert got.dtype == want.dtype
-                        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (
-                            beta, cls.alpha, radius)
-                        # the parity progression_sum's half-sum relies on
-                        K = len(got) // 2
+                        assert got.dtype == want.dtype and 2 * len(got) == len(want)
                         assert not got.imag.any()
-                        assert np.array_equal(got.real[K:].view(np.uint64),
-                                              ((-1) ** cls.degree * got.real[:K]).view(np.uint64))
+                        full = np.concatenate([got, (-1) ** cls.degree * got.real])
+                        assert np.array_equal(full.view(np.uint64), want.view(np.uint64)), (
+                            beta, cls.alpha, radius)
                 series = monomial_error_series(V, beta, x, radius)
                 assert np.array_equal(series, _per_class_series(V, beta, x, radius))
                 if order <= V.margin:

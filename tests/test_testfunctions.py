@@ -8,7 +8,7 @@ import pytest
 from numpy.polynomial import polynomial as P
 
 from boxproj.checks import finite_difference
-from boxproj.quadrature import tile_points
+from boxproj.quadrature import box_batches, tile_points
 from boxproj.testfunctions import (
     Bump,
     Gaussian,
@@ -123,6 +123,36 @@ class TestMonomial:
         want = np.power(x, k)
         assert np.all(np.isfinite(want)) and np.all(want != 0.0)
         assert np.max(np.abs(got - want) / np.spacing(np.abs(want))) <= k - 2
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_value_is_the_order_zero_derivative_bitwise(self, d):
+        # value multiplies the columns of the positive exponents kept at
+        # construction, on the batches of the point route and at single
+        # points; exponent-1 columns alone are still copied
+        nodes = np.random.default_rng(d).uniform(0.0, 1.0, size=(6, d))
+        axes = [np.arange(-3.0, 3.0)] * d
+        zero = (0,) * d
+        for e in itertools.product(range(4), repeat=d):
+            f = monomial(e)
+            for x in box_batches(nodes, axes, 0.35):
+                kept = x.copy()
+                got = f.value(x)
+                assert got.tobytes() == f.derivative(zero, x).tobytes(), e
+                assert not np.shares_memory(got, x)
+                got[:] = -7.0
+                assert x.tobytes() == kept.tobytes()
+                for point in [x[0], x[-1]] + ([0.7] if d == 1 else []):
+                    got = f.value(point)
+                    assert type(got) is float, e
+                    assert np.float64(got).tobytes() == np.float64(
+                        f.derivative(zero, point)).tobytes(), e
+
+    @pytest.mark.parametrize("e", [(2,), (1, 0), (0, 1, 3)])
+    def test_value_rejects_points_of_another_dimension(self, e):
+        f = monomial(e)
+        for x in (np.ones((4, len(e) + 1)), np.ones(len(e) + 1)):
+            with pytest.raises(ValueError, match="dimension"):
+                f.value(x)
 
     def test_no_effective_box(self):
         assert monomial((1, 1)).effective_box() is None
