@@ -11,7 +11,7 @@ side by projecting along a ladder of meshes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -106,12 +106,12 @@ def _derivative_gram(f, vector_lists) -> np.ndarray:
     lo, hi = _outer_cells(f)
     order = max(len(vs) for vs in vector_lists)
     x, w = quadrature.unit_nodes(OUTER_ORDER)
-    moments = np.ones((1, 1))
+    moments = []
     for j, (a, b) in enumerate(zip(lo, hi)):
         T = f.factor_derivative(j, order, np.add.outer(np.arange(a, b, dtype=float), x).ravel())
-        moments = np.kron(moments, (T * np.tile(w, b - a)) @ T.T)
+        moments.append((T * np.tile(w, b - a)) @ T.T)
     C = _form_coefficients(tuple(vector_lists), order, len(lo))
-    return C @ moments @ C.T
+    return C @ reduce(np.kron, moments) @ C.T
 
 
 @lru_cache(maxsize=None)

@@ -243,11 +243,18 @@ def _lead_product(lead, shape, start: int, stop: int, n: int) -> np.ndarray:
     """Rows start..stop of the Khatri-Rao product of the factor tables
     `lead` over their C-order grid `shape`: row i is the product of the
     tables' rows at the multi-index of i, left to right over the axes (a
-    row of ones when there are no tables)."""
-    K = np.ones((stop - start, n))
-    if lead:
-        for table, i in zip(lead, np.unravel_index(np.arange(start, stop), shape)):
-            K *= table[i]
+    row of ones when there are no tables).  The product starts from the
+    first table's rows, not from ones (1.0 * x is x), and with one table
+    it is a view of that table's rows, so it must only be read."""
+    if not lead:
+        return np.ones((stop - start, n))
+    first, *rest = lead
+    if not rest:
+        return first[start:stop]
+    idx = np.unravel_index(np.arange(start, stop), shape)
+    K = first[idx[0]]
+    for table, i in zip(rest, idx[1:]):
+        K *= table[i]
     return K
 
 
@@ -264,7 +271,8 @@ def _cell_samples(f, h: float, nodes: np.ndarray, lo, shape):
     product lead[:, None, :] * T_last, with T_last the last axis's
     `_factor_tables` table and lead the product of the leading axes' table
     rows at that row (`_lead_product`, left to right, so every sample is
-    the same product in the same order as a per-node one, bit for bit).
+    the same product in the same order as a per-node one, bit for bit; in
+    2-D it is the one leading table's rows, read in place).
     When a row fits in a batch, a batch is as many whole rows as fit; when
     it does not (a 3-D cut cell has 6,000 nodes), a batch is a segment of
     one row, whose lead is formed once for all its segments.  f is not
@@ -600,9 +608,13 @@ def error_norm(f, model: SplineSpaceModel, coeffs: CoefficientField, p: float,
     polynomial, so a higher order shrinks the rule's error); the box
     spline is never evaluated per node.  The coefficients are laid into
     one zero array over every cell m + delta the domain reaches, so that a
-    batch of cells gathers them with one `np.take` of flat indices.  At
-    p = 2 the difference is squared without `np.abs` (x*x is |x|*|x| bit
-    for bit).  f is sampled by the route `project` takes for it
+    batch of cells gathers them with one `np.take` of flat indices; the
+    cells' flat base indices are one outer sum of the per-axis index
+    ranges times the strides.  Each batch's spline values
+    `gathered @ table` are written into one buffer per call, in which the
+    difference to f and its power are then formed, so that a batch makes
+    no array of its size.  At p = 2 the difference is squared without
+    `np.abs` (x*x is |x|*|x| bit for bit).  f is sampled by the route `project` takes for it
     (`_cell_samples`), in batches of SAMPLE_CHUNK // n cells (one at
     least), so that a call's buffers stay small: an f with a `factor`
     method is the product of its per-axis factor tables, one broadcast
@@ -642,12 +654,16 @@ def error_norm(f, model: SplineSpaceModel, coeffs: CoefficientField, p: float,
             coeffs.values[tuple(map(slice, lo - wlo, hi - wlo))]
     flat = grid.ravel()
     strides = np.cumprod((1,) + tuple(reach[:0:-1]))[::-1]
-    base = quadrature.box_cells(mlo - rlo, mlo - rlo + shape) @ strides
+    base = reduce(np.add.outer, [np.arange(a, a + k) * s for a, k, s
+                                 in zip(mlo - rlo, shape, strides)]).ravel()
     shift = offsets @ strides
+    # as many rows as the largest batch `_cell_samples` yields
+    batch = min(max(1, quadrature.SAMPLE_CHUNK // len(nodes)), len(base))
+    spline = np.empty((batch, len(nodes)))
     power = 0.0
     for start, fvals in _cell_samples(f, h, nodes, mlo, shape):
         gathered = flat.take(base[start:start + len(fvals), None] + shift)
-        diff = gathered @ table
+        diff = np.matmul(gathered, table, out=spline[:len(fvals)])
         np.subtract(fvals, diff, out=diff)
         if p == 2:
             diff *= diff

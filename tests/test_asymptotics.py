@@ -22,8 +22,10 @@ from boxproj import (
 from boxproj import quadrature
 from boxproj.asymptotics import (
     OUTER_ORDER,
+    _derivative_gram,
     _extrapolate,
     _form_coefficients,
+    _outer_cells,
     _outer_rule,
     _ridge_cell_table,
     _ridge_gram,
@@ -263,6 +265,25 @@ class TestMomentRoute:
         assert abs(error_constant(f, V, 2.0) - want) <= 1e-13 * want
         want = float(_class_weights(V) @ np.diag(gram_d))
         assert abs(error_constant_l2(f, V) - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("name", ["bspline(3)", "courant2", "3d"])
+    def test_kronecker_product_bitwise_from_ones(self, name):
+        # the product over the axes starts from the first axis's moment
+        # matrix; one started from np.ones((1, 1)) gives the same bytes
+        V = SET_3D if name == "3d" else preset(name)
+        members = [cls.members for cls in V.classes]
+        order = max(len(vs) for vs in members)
+        x, w = quadrature.unit_nodes(OUTER_ORDER)
+        for family, size in MOMENT_FUNCTIONS:
+            f = family(V.dimension, size)
+            K = np.ones((1, 1))
+            for j, (a, b) in enumerate(zip(*_outer_cells(f))):
+                T = f.factor_derivative(j, order,
+                                        np.add.outer(np.arange(a, b, dtype=float), x).ravel())
+                K = np.kron(K, (T * np.tile(w, b - a)) @ T.T)
+            C = _form_coefficients(tuple(members), order, V.dimension)
+            want = C @ K @ C.T
+            assert _derivative_gram(f, members).tobytes() == want.tobytes(), (family, size)
 
     @pytest.mark.parametrize("name", ["bspline(3)", "courant", "courant2"])
     def test_wrapper_takes_pointwise_route(self, name):

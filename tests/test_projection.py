@@ -809,6 +809,102 @@ class TestRowBatches:
         assert abs(got - want) <= 1e-14 * want
 
 
+def _ones_lead_product(lead, shape, start, stop, n):
+    """`_lead_product` as a running product started from a block of ones."""
+    K = np.ones((stop - start, n))
+    if lead:
+        for table, i in zip(lead, np.unravel_index(np.arange(start, stop), shape)):
+            K *= table[i]
+    return K
+
+
+def _reference_error_norm(f, m, c, p, domain, order, monkeypatch):
+    """error_norm by the batch loop it replaced: flat cell indices from
+    `box_cells` times the strides, a fresh `gathered @ table` per batch,
+    and tensor-route samples whose lead starts from ones."""
+    h, d = m.h, m.V.dimension
+    if domain is None:
+        domain = f.effective_box()
+    dlo, dhi = (np.asarray(a, dtype=float) for a in domain)
+    mlo = np.floor(dlo / h).astype(int)
+    shape = np.ceil(dhi / h).astype(int) - mlo
+    nodes, weights, offsets, table = projection._cell_tables(m.V, order)[1]
+    rlo = mlo + offsets.min(axis=0)
+    reach = shape + np.ptp(offsets, axis=0)
+    grid = np.zeros(reach)
+    wlo = np.array(c.window_lo)
+    lo, hi = np.maximum(wlo, rlo), np.minimum(wlo + c.values.shape, rlo + reach)
+    if np.all(hi > lo):
+        grid[tuple(map(slice, lo - rlo, hi - rlo))] = \
+            c.values[tuple(map(slice, lo - wlo, hi - wlo))]
+    flat = grid.ravel()
+    strides = np.cumprod((1,) + tuple(reach[:0:-1]))[::-1]
+    base = quadrature.box_cells(mlo - rlo, mlo - rlo + shape) @ strides
+    shift = offsets @ strides
+    power = 0.0
+    with monkeypatch.context() as patch:
+        patch.setattr(projection, "_lead_product", _ones_lead_product)
+        for start, fvals in projection._cell_samples(f, h, nodes, mlo, shape):
+            diff = flat.take(base[start:start + len(fvals), None] + shift) @ table
+            np.subtract(fvals, diff, out=diff)
+            if p == 2:
+                diff *= diff
+            else:
+                np.abs(diff, out=diff)
+                diff **= p
+            power += float((diff @ weights).sum())
+    power *= h ** d
+    return power ** (1.0 / p), power
+
+
+class TestBatchLoop:
+    """error_norm's batch loop (outer-sum cell indices, the lead started
+    from the first table's rows or read in place, the spline values written
+    into one buffer per call) gives the bytes of the loop it replaced, on
+    both sampling routes; tensor(1,1) and haar have one-row cell tables."""
+
+    @pytest.mark.parametrize("name", ["tensor(1,1)", "haar", "bspline(2)", "tensor(2,2)",
+                                      "courant", "3d"])
+    def test_bitwise_equal_to_reference_loop(self, monkeypatch, name):
+        V = THREE_D if name == "3d" else preset(name)
+        d = V.dimension
+        h = 0.5 if name == "3d" else 0.25
+        g = gaussian(d, 0.6)
+        m = build_model(V, h, g)
+        c = project(m, g)
+        domains = {"default": None, "explicit": (np.full(d, -0.7), np.linspace(0.45, 3.0, d))}
+        for (where, dom), p, order in itertools.product(domains.items(), (1.0, 2.0, 3.0),
+                                                        (10, 12)):
+            # the point route (an opaque callable) needs its box spelled out
+            box = g.effective_box() if dom is None else dom
+            for f, domain in ((g, dom), (g.value, box)):
+                got = error_norm(f, m, c, p, domain=domain, order=order)
+                want = _reference_error_norm(f, m, c, p, domain, order, monkeypatch)
+                assert np.array(got).tobytes() == np.array(want).tobytes(), \
+                    (where, p, order, f is g)
+
+    @pytest.mark.parametrize("shape", [(), (5,), (3, 4), (2, 3, 4)])
+    def test_lead_product_bitwise_from_ones(self, shape):
+        rng = np.random.default_rng(len(shape))
+        n = 7
+        lead = []
+        for k in shape:
+            t = rng.standard_normal((k, n))
+            t[rng.random((k, n)) < 0.2] = -0.0
+            lead.append(t)
+        rows = int(np.prod(shape))
+        # the whole grid, ranges that start mid-grid and cross rows of the
+        # last leading axis, one row, and no row
+        for start, stop in ((0, rows), (1, rows), (rows // 2, rows), (min(2, rows), min(rows, 9)),
+                            (rows - 1, rows), (rows // 2, rows // 2)):
+            got = projection._lead_product(lead, shape, start, stop, n)
+            want = _ones_lead_product(lead, shape, start, stop, n)
+            assert got.shape == want.shape == (stop - start, n)
+            assert got.tobytes() == want.tobytes(), (start, stop)
+            if len(lead) == 1:
+                assert got.base is lead[0]
+
+
 def _reference_matrix(m):
     """The Gram matrix by COO assembly: for each offset gamma, the rows alpha
     of the window whose column alpha - gamma stays inside it."""
