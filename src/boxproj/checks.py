@@ -44,7 +44,8 @@ from .bernoulli import (INNER_ORDER, BernoulliSplineTerm, _class_weights, bernou
                         ridge_cut)
 from .boxspline import _leibniz_derivative
 from .lattice import _coerce
-from .projection import RULE_ORDER, CoefficientField, SplineSpaceModel, _gram_symbol, _value_fn
+from .projection import (RULE_ORDER, CoefficientField, SplineSpaceModel, _gram_symbol,
+                         _normal_operators, _value_fn)
 from . import quadrature
 
 NORM_SERIES_BASE = 64  # first truncation of the Fourier-side norm series
@@ -340,7 +341,8 @@ def run_battery(perturb_gram: float = 0.0) -> list[CheckResult]:
         V = preset(name)
         model = build_model(V, 1.0, box=(np.full(V.dimension, -4.0), np.full(V.dimension, 4.0)),
                             padding=0)
-        eigs = np.linalg.eigvalsh(model.matrix().toarray())
+        gram, _ = _normal_operators(model)
+        eigs = np.linalg.eigvalsh(np.column_stack([gram(e) for e in np.eye(model.unknowns)]))
         sym_min, _ = gram_symbol_range(V)
         worst = max(worst, (sym_min - 1e-8) - eigs.min())
     out.append(_check("gram_window_spd", worst, 0.0,

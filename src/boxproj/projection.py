@@ -118,9 +118,9 @@ class SplineSpaceModel:
     the right-hand sides of `project` and the error norms of
     `error_norm`.  Nothing is derived from `gram` and kept: `project`
     derives its Gram stencil and symbol preconditioner from it on each
-    call, and `matrix()` (the explicit matrix, for the checks and the
-    tests) lays it out afresh on each call, so an edit to `gram` takes
-    effect at the next `project`.
+    call, and `matrix()` (the explicit CSR matrix, for the tests) lays it
+    out afresh on each call, so an edit to `gram` takes effect at the next
+    `project`.
     """
 
     V: DirectionSet
@@ -491,13 +491,13 @@ def project(model: SplineSpaceModel, f) -> CoefficientField:
     `testfunctions`) is a product of univariate factors: it is tabulated
     once per axis and the correlation is a few matrix products, with no
     call of f per node.  Any other f (a callable, or an object with a
-    `value` method) is sampled once per node.  The two routes differ in
-    rounding only: on tensor(1,1), tensor(2,2), courant, courant2 and
-    bspline(3) at h = 1/4 and 1/8 and on a 3-D set at h = 1/2, for a
-    Gaussian, a bump and a monomial, the right-hand sides were within
-    7.8e-16 and the coefficients within 5.4e-15 of each other, relative to
-    their largest entry.  The normal
-    equations are solved matrix-free by the package's own conjugate
+    `value` method) is sampled once per node.  The two routes sample f
+    alike, bit for bit, and differ only in the order of the sums: on
+    tensor(1,1), tensor(2,2), courant, courant2 and bspline(3) at h = 1/4
+    and 1/8 and on a 3-D set at h = 1/2, for a Gaussian, a bump and a
+    monomial, the right-hand sides were within 7.6e-16 and the
+    coefficients within 1.0e-14 of each other, relative to their largest
+    entry.  The normal equations are solved matrix-free by the package's own conjugate
     gradients (`_cg`, step for step scipy's `cg`, so the coefficients are
     the ones scipy's loop gives, bit for bit) on the Gram stencil of
     `model.gram`, preconditioned by the inverse Gram symbol on a
@@ -621,10 +621,11 @@ def error_norm(f, model: SplineSpaceModel, coeffs: CoefficientField, p: float,
     product per row of cells along the last axis (whole rows a batch, or
     segments of a row longer than a batch), and is not called per node;
     any other f is called on each batch of nodes, and must not modify its
-    argument nor keep it after it returns.  On the cases listed in
-    `project` the two routes' norms at p = 2 and 3 were within 1.2e-13 of
-    each other, relative: the error is small against f, so the rounding
-    of f weighs more in it.  An exponent p below 1 or not finite, an
+    argument nor keep it after it returns.  The two routes give the same
+    samples, bit for bit, in batches of other bounds, so their norms
+    differ only in the order the batch sums are added: within 2.2e-16,
+    relative, at p = 2 and 3 for the same coefficients on the cases listed
+    in `project`.  An exponent p below 1 or not finite, an
     order that is not a positive integer, or a domain whose dimension is
     not the model's, that is reversed on some axis or has a corner that is
     not finite, raises ValueError.

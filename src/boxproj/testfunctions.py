@@ -18,19 +18,16 @@ attribute: they tabulate phi_j at the nodes of the cells along axis j
 once per call and never call f per node.  Any other callable, a
 `TestFunction` subclass without `factor` included, keeps the point
 route.  The product of the factors, taken left to right over the axes,
-is `value` bit for bit for a monomial and in 1-D.  For a Gaussian or a
-bump in 2-D and 3-D, `value` takes one exp of the summed exponent and
-the product one exp per axis, so they differ by an amount that grows
-with the exponent: at most 47 ulp (Gaussian) and 123 ulp (bump) at the
-points of `TestColumnKernels`, where the exponent falls to -42 and -198.
+is `value` bit for bit, so both routes sample f alike.
 
-A Gaussian and a bump also give their factor derivatives:
+A Gaussian and a bump are their factor rows and nothing else:
 `factor_derivative(axis, order, t)` is the (order + 1, len(t)) array of
-phi_axis^(b) at t for b = 0..order, so that D^beta f(x) =
-prod_j phi_j^(beta_j)(x_j).  `asymptotics` builds the p = 2 limit constants
-from their per-axis moments for any f that has it.  In 1-D each row is
-`derivative` bit for bit.  The derivative polynomials behind both methods
-are built once and kept as read-only arrays: a Gaussian's p_k per
+phi_axis^(b) at t for b = 0..order.  `factor` is its row 0, and
+`derivative` is D^beta f(x) = prod_j phi_j^(beta_j)(x_j), the rows
+multiplied left to right over the axes (`_factor_partial`).
+`asymptotics` builds the p = 2 limit constants from their per-axis
+moments for any f that has it.  The derivative polynomials behind the
+rows are built once and kept as read-only arrays: a Gaussian's p_k per
 instance, a bump's N_k, which depends on k alone, per process.  A
 monomial has no effective box and no `factor_derivative`.
 """
@@ -38,7 +35,7 @@ monomial has no effective box and no `factor_derivative`.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -106,33 +103,21 @@ class Gaussian(TestFunction):
         return polys[k]
 
     def derivative(self, beta, x):
-        beta = self._index(beta)
-        pts, single = quadrature._as_points(x, self.dim)
-        out = pts[:, 0] * pts[:, 0]
-        for j in range(1, self.dim):
-            out += pts[:, j] * pts[:, j]
-        out *= -self._a
-        np.exp(out, out=out)
-        for j, bj in enumerate(beta):
-            if bj:
-                out *= P.polyval(pts[:, j], self._factor_poly(bj))
-        return float(out[0]) if single else out
+        return _factor_partial(self, beta, x)
 
     def factor(self, axis: int, t):
         """exp(-a t^2) at the 1-D array t, the same for every axis."""
-        t = np.asarray(t, dtype=float)
-        out = t * t
-        out *= -self._a
-        np.exp(out, out=out)
-        return out
+        return self.factor_derivative(axis, 0, t)[0]
 
     def factor_derivative(self, axis: int, order: int, t):
         """phi^(b)(t) = p_b(t) exp(-a t^2) for b = 0, ..., order, as the
-        rows of an (order + 1, len(t)) array."""
+        rows of an (order + 1, len(t)) array; row 0 is exp(-a t^2)."""
         t = np.asarray(t, dtype=float)
-        base = self.factor(axis, t)
         out = np.empty((order + 1, len(t)))
-        for b in range(order + 1):
+        base = np.multiply(t, t, out=out[0])
+        base *= -self._a
+        np.exp(base, out=base)
+        for b in range(1, order + 1):
             np.multiply(base, P.polyval(t, self._factor_poly(b)), out=out[b])
         return out
 
@@ -171,46 +156,24 @@ class Bump(TestFunction):
         return _read_only(P.polyadd(lead, P.polymul(mid, poly)))
 
     def derivative(self, beta, x):
-        beta = self._index(beta)
-        pts, single = quadrature._as_points(x, self.dim)
-        t = [pts[:, j] / self.radius for j in range(self.dim)]
-        inside = np.abs(t[0]) < 1.0
-        for tj in t[1:]:
-            inside &= np.abs(tj) < 1.0
-        out = np.zeros(len(pts))
-        if inside.any():
-            ti = [tj[inside] for tj in t]
-            val = 1.0 - 1.0 / (1.0 - ti[0] * ti[0])
-            for tj in ti[1:]:
-                val += 1.0 - 1.0 / (1.0 - tj * tj)
-            np.exp(val, out=val)
-            for tj, bj in zip(ti, beta):
-                if bj:
-                    num = P.polyval(tj, self._numerator_poly(bj))
-                    val = val * num / (1.0 - tj * tj) ** (2 * bj) / self.radius ** bj
-            out[inside] = val
-        return float(out[0]) if single else out
+        return _factor_partial(self, beta, x)
 
     def factor(self, axis: int, t):
         """exp(1 - 1/(1 - (t/r)^2)) at the 1-D array t, zero for |t| >= r."""
-        s = np.asarray(t, dtype=float) / self.radius
-        inside = np.abs(s) < 1.0
-        out = np.zeros(s.shape)
-        si = s[inside]
-        out[inside] = np.exp(1.0 - 1.0 / (1.0 - si * si))
-        return out
+        return self.factor_derivative(axis, 0, t)[0]
 
     def factor_derivative(self, axis: int, order: int, t):
         """psi^(b)(t) = N_b(s) (1 - s^2)^(-2b) psi(s) / r^b, s = t / r, for
-        b = 0, ..., order, as the rows of an (order + 1, len(t)) array; zero
-        where |s| >= 1."""
+        b = 0, ..., order, as the rows of an (order + 1, len(t)) array; row
+        0 is psi(s) itself, and every row is zero where |s| >= 1."""
         s = np.asarray(t, dtype=float) / self.radius
         inside = np.abs(s) < 1.0
         out = np.zeros((order + 1, len(s)))
         si = s[inside]
         q = 1.0 - si * si
         val = np.exp(1.0 - 1.0 / q)
-        for b in range(order + 1):
+        out[0, inside] = val
+        for b in range(1, order + 1):
             num = P.polyval(si, self._numerator_poly(b))
             out[b, inside] = val * num / q ** (2 * b) / self.radius ** b
         return out
@@ -262,6 +225,18 @@ class Monomial(TestFunction):
 
     def rescale(self, factor: float) -> "Monomial":
         raise NotImplementedError("monomials do not rescale within the family")
+
+
+def _factor_partial(f, beta, x):
+    """D^beta f at the points x for a family given by its factor rows: the
+    rows f.factor_derivative(j, beta_j, x_j)[beta_j], multiplied left to
+    right over the axes j, in the order the tensor route of `projection`
+    multiplies its factor tables."""
+    beta = f._index(beta)
+    pts, single = quadrature._as_points(x, f.dim)
+    out = reduce(np.multiply, [f.factor_derivative(j, bj, pts[:, j])[bj]
+                               for j, bj in enumerate(beta)])
+    return float(out[0]) if single else out
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

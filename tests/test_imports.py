@@ -1,5 +1,5 @@
-"""Importing boxproj, projecting with it, and running its lattice series and
-limit constants load no scipy module."""
+"""Importing boxproj, projecting with it, and running its lattice series,
+limit constants and check battery load no scipy module."""
 
 import os
 import subprocess
@@ -34,6 +34,11 @@ series = monomial_error_series(V, (1, 1), x, 2000)
 assert np.abs(closed - series.real).max() < 1e-6
 quad, exact = error_constant(f, V, 2.0), error_constant_l2(f, V)
 assert abs(quad - exact) <= 1e-12 * exact
+
+# the battery's gram_window_spd takes its window matrix from the Gram
+# operator, not from matrix()
+from boxproj.checks import run_battery
+assert all(r.passed for r in run_battery())
 assert scipy_modules() == [], scipy_modules()
 
 # matrix() imports scipy.sparse on its first call and still returns the

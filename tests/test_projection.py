@@ -725,6 +725,22 @@ class TestSamplingRoute:
         assert (error_norm(plain, m, want, 2.0) == error_norm(opaque, m, want, 2.0, domain=box)
                 == error_norm(g.value, m, want, 2.0, domain=box))
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_point_and_tensor_routes_sample_alike(self, d):
+        # `value` is the product of the factor rows in the order the tensor
+        # route multiplies its factor tables, so the samples are the same
+        # bytes; the domain reaches past the bump's support, where both
+        # routes give zeros
+        nodes, _ = quadrature.tensor_rule([0.0] * d, [1.0] * d, 3)
+        lo, shape = (-4,) * d, (8,) * d
+        for f in (gaussian(d, 0.7), bump(d, 1.5)):
+            routes = [np.concatenate([vals.copy() for _, vals in
+                                      projection._cell_samples(g, 0.5, nodes, lo, shape)])
+                      for g in (f, lambda X: f.value(X))]
+            tensor, point = routes
+            assert np.any(tensor == 0.0) == (f.tag == "bump")
+            assert tensor.tobytes() == point.tobytes(), f.tag
+
 
 def _per_node_samples(f, h, nodes, lo, shape):
     """Reference tensor-route samples: for each cell in C order, the rows of
